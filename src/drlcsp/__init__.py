@@ -68,12 +68,8 @@ from .model import (
     RawProblem,
     Violation,
     combined_value,
-    extend_assignment,
-    index_tuple,
     is_k_hyperarc_consistent,
     normalize,
-    project_assignment,
-    tuple_index,
 )
 from .oracle import (
     Counterexample,

@@ -65,21 +65,6 @@ class FiniteDRL:
     bottom: int
     name: str = field(default="", compare=False)
 
-    def le(self, x: int, y: int) -> bool:
-        return self.leq[x][y]
-
-    def lt(self, x: int, y: int) -> bool:
-        return x != y and self.leq[x][y]
-
-    def mul(self, x: int, y: int) -> int:
-        return self.otimes[x][y]
-
-    def imp(self, x: int, y: int) -> int:
-        return self.residuum[x][y]
-
-    def neg(self, x: int) -> int:
-        return self.residuum[x][self.bottom]
-
     def __repr__(self) -> str:
         label = self.name or "anonymous"
         return f"FiniteDRL({label}, size={self.size})"

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .algebra import check_axioms, classify, direct_product, make_builtin
@@ -179,23 +180,25 @@ def _cmd_enforce(args) -> int:
             print("inconsistent (a domain emptied during normalization)")
         return EXIT_DETECTED
     outcome = enforce_k_hyperarc(problem, args.k, strategy)
-    if args.counters:
+    if args.counters and not args.json:
         c = outcome.counters
         print(f"main_loop_iterations={c.main_loop_iterations} "
               f"project_calls={c.project_calls} "
               f"inner_tuple_iterations={c.inner_tuple_iterations}")
     if outcome.inconsistent:
-        if args.json:
-            print(json.dumps({"inconsistent": True, "stage": "enforce"}, sort_keys=True))
-        else:
-            print("inconsistent")
-        return EXIT_DETECTED
-    write_problem(outcome.problem, args.output)
-    if args.json:
-        print(json.dumps({"inconsistent": False, "output": args.output}, sort_keys=True))
+        payload = {"inconsistent": True, "stage": "enforce"}
+        text = "inconsistent"
     else:
-        print(f"wrote consistent problem to {args.output}")
-    return EXIT_OK
+        write_problem(outcome.problem, args.output)
+        payload = {"inconsistent": False, "output": args.output}
+        text = f"wrote consistent problem to {args.output}"
+    if args.json:
+        if args.counters:
+            payload["counters"] = asdict(outcome.counters)
+        print(json.dumps(payload, sort_keys=True))
+    else:
+        print(text)
+    return EXIT_DETECTED if outcome.inconsistent else EXIT_OK
 
 
 def _cmd_solve(args) -> int:

@@ -1,13 +1,37 @@
 """k-hyperarc consistency enforcement.
 
-The algorithm pops variables from a FIFO worklist and, for every stored
-constraint of arity 2..k containing the popped variable, projects costs
-from the constraint table onto the variable's unary constraint: a value
-x is chosen from the table entries compatible with each domain value,
-the unary entry is multiplied by x, and each table entry v is replaced
-by the residuum x -> v. A variable is re-queued whenever one of its
-unary values drops to bottom; the run aborts as inconsistent when all
-of them do.
+The algorithm visits the variables once, in id order. For each stored
+constraint of arity 2..k containing the visited variable, in sorted
+scope order, it projects costs from the constraint table onto the
+variable's unary constraint: a value x is chosen from the table entries
+compatible with each domain value, the unary entry is multiplied by x,
+and each of those table entries v is replaced by the residuum x -> v.
+The run aborts as inconsistent as soon as every unary value of the
+visited variable is bottom.
+
+The worklist form of the algorithm re-queues a variable after one of
+its unary values drops to bottom. Over a divisible residuated lattice
+that second visit changes nothing, so one sweep reaches the same
+result. Projections only raise table entries (x -> v >= v) and only
+lower unary values. Take a repeated projection of a scope onto a
+variable, at a value whose unary value u is not bottom:
+
+- maximal-lex and maximal-seeded: the first projection rewrote its
+  chosen entry to x -> x = top, and later rewrites z -> top keep it top.
+  Top is then the only maximal candidate, and u * top = u, top -> v = v.
+- join: the first projection chose x = join of the v_t and left the
+  entries x -> v_t. Multiplication distributes over joins, divisibility
+  gives x * (x -> v) = x meet v, and the lattice is distributive, so
+  x * join(x -> v_t) = join(x meet v_t) = x. The elements y with
+  y * x = x form an up-set closed under *. Projections onto the other
+  variables of the scope turn each entry into (w_t * x) -> v_t, since
+  z -> (a -> b) = (z * a) -> b, and only raise it, so the repeat's join
+  y still satisfies y * x = x. Hence y -> ((w_t * x) -> v_t) =
+  (w_t * x) -> v_t, and u, which has x as a factor, satisfies u * y = u.
+
+A FIFO worklist makes every repeat visit after every first visit, so
+the sweep also consumes the maximal-seeded random draws of the first
+visits in the same order, and its outputs match the worklist's exactly.
 
 How x is chosen is configurable. On totally ordered algebras every
 choice coincides (the candidate set has a maximum); on general lattices
@@ -18,10 +42,9 @@ consistency, so both are provided explicitly.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
-from .model import Problem, Scope, fiber_indices, scope_sizes
+from .model import Problem, Scope, fiber
 from .oracle import maximal_elements
 from .rng import SplitMix64
 
@@ -126,11 +149,7 @@ def project(
     bottom = alg.bottom
     otimes = alg.otimes
     residuum = alg.residuum
-    pos = scope.index(var)
-    offsets = fiber_indices(scope, problem.domain_sizes, pos, 0)
-    stride = 1
-    for size in scope_sizes(scope, problem.domain_sizes)[pos + 1:]:
-        stride *= size
+    offsets, stride = fiber(scope, problem.domain_sizes, scope.index(var))
 
     table = constraint.values
     unary = problem.unary(var).values
@@ -155,13 +174,14 @@ def project(
 def enforce_k_hyperarc(
     problem: Problem, k: int, strategy: Strategy = MAXIMAL_LEX
 ) -> EnforcementOutcome:
-    """Run the worklist algorithm on a copy of the problem.
+    """Run one sweep of the enforcement algorithm on a copy of the problem.
 
-    The queue starts with every variable in id order; popped variables
-    are projected against their stored scopes of arity 2..k in sorted
-    scope order and re-queued (without duplicates) after any domain
-    shrink. Inconsistency is reported as soon as some variable has only
-    bottom unary values.
+    Variables are visited once in id order, each projected against its
+    stored scopes of arity 2..k in sorted scope order; the module
+    docstring shows why a second visit would change nothing.
+    Inconsistency is reported as soon as some variable has only bottom
+    unary values. `main_loop_iterations` counts the visited variables,
+    which is n on every run that ends consistent.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -176,25 +196,22 @@ def enforce_k_hyperarc(
             for v in scope:
                 scopes_by_var[v].append(scope)
 
-    queue = deque(range(work.n))
-    queued = set(queue)
-    while queue:
-        i = queue.popleft()
-        queued.discard(i)
+    for i in range(work.n):
         counters.main_loop_iterations += 1
         for scope in scopes_by_var[i]:
-            shrank = project(work, scope, i, strategy, rng=rng, counters=counters)
+            project(work, scope, i, strategy, rng=rng, counters=counters)
             counters.project_calls += 1
-            unary = work.unary(i).values
-            if all(v == bottom for v in unary):
+            if all(v == bottom for v in work.unary(i).values):
                 return EnforcementOutcome(True, None, counters)
-            if shrank and i not in queued:
-                queue.append(i)
-                queued.add(i)
     return EnforcementOutcome(False, work, counters)
 
 
 def check_counter_bound(counters: Counters, n: int, d: int, e: int) -> bool:
-    """Verify the worklist bounds: n(d+1) pops and n(d+1)e projections."""
+    """Verify the worklist bounds: n(d+1) visits and n(d+1)e projections.
+
+    The bounds are those of the worklist form of the algorithm, which
+    the single sweep meets trivially: it visits at most n <= n(d+1)
+    variables and projects each stored scope at most once per variable.
+    """
     budget = n * (d + 1)
     return counters.main_loop_iterations <= budget and counters.project_calls <= budget * e

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from math import prod
+from math import comb
 from pathlib import Path
 
 from .algebra import (
@@ -31,6 +31,9 @@ from .model import Constraint, Problem, RawProblem, normalize, table_len
 from .rng import SplitMix64
 
 MAX_TABLE_ENTRIES = 1_000_000
+# Upper bound on the scopes of arity 2..max_arity that the generator lists
+# before drawing; it keeps the pool to tens of megabytes.
+MAX_SCOPE_POOL = 1_000_000
 
 
 def _canonical(payload) -> str:
@@ -288,7 +291,9 @@ def gen_random_problem(
     the non-bottom elements; the remaining e - n scopes are drawn
     uniformly without replacement from the scopes of arity 2..max_arity,
     with table values uniform over the whole carrier. The same inputs
-    always produce the identical problem.
+    always produce the identical problem. TooLarge is raised, before the
+    work it bounds, when the scope pool exceeds MAX_SCOPE_POOL or a
+    table exceeds MAX_TABLE_ENTRIES (which the loader would refuse).
     """
     if n < 1 or d < 1:
         raise ValueError("need at least one variable and one domain value")
@@ -298,6 +303,15 @@ def gen_random_problem(
         raise ValueError("e must cover the n unary constraints")
     if algebra.size < 2:
         raise ValueError("algebra must have a non-bottom element")
+
+    need = e - n
+    pool_size = sum(comb(n, arity) for arity in range(2, max_arity + 1))
+    if need > pool_size:
+        raise NotEnoughScopes(f"{need} scopes requested, only {pool_size} exist")
+    if pool_size > MAX_SCOPE_POOL:
+        raise TooLarge(f"{pool_size} candidate scopes exceed the cap {MAX_SCOPE_POOL}")
+    if d > MAX_TABLE_ENTRIES:
+        raise TooLarge(f"table for scope [0] needs {d} entries")
 
     rng = SplitMix64(seed)
     domain_sizes = (d,) * n
@@ -313,12 +327,11 @@ def gen_random_problem(
         for arity in range(2, max_arity + 1)
         for scope in itertools.combinations(range(n), arity)
     ]
-    need = e - n
-    if need > len(pool):
-        raise NotEnoughScopes(f"{need} scopes requested, only {len(pool)} exist")
     for _ in range(need):
         scope = pool.pop(rng.below(len(pool)))
-        length = prod(d for _ in scope)
+        length = d ** len(scope)
+        if length > MAX_TABLE_ENTRIES:
+            raise TooLarge(f"table for scope {list(scope)} needs {length} entries")
         constraints.append(
             Constraint(scope, [rng.below(algebra.size) for _ in range(length)])
         )

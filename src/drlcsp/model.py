@@ -9,7 +9,6 @@ value is bottom.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from math import prod
 from typing import Iterator
@@ -77,7 +76,7 @@ class Violation:
 
 
 # ---------------------------------------------------------------------------
-# Tuple indexing
+# Table layout
 
 
 def scope_sizes(scope: Scope, domain_sizes: tuple[int, ...]) -> tuple[int, ...]:
@@ -88,69 +87,26 @@ def table_len(scope: Scope, domain_sizes: tuple[int, ...]) -> int:
     return prod(scope_sizes(scope, domain_sizes))
 
 
-def tuple_index(scope: Scope, domain_sizes: tuple[int, ...], assignment: Assignment) -> int:
-    """Row-major index of an assignment; the empty assignment maps to 0."""
-    if len(assignment) != len(scope):
-        raise ValueError(f"assignment of length {len(assignment)} for scope {scope}")
-    index = 0
-    for var, value in zip(scope, assignment):
-        size = domain_sizes[var]
-        if not 0 <= value < size:
-            raise ValueError(f"value {value} out of range for variable {var} (size {size})")
-        index = index * size + value
-    return index
+def fiber(scope: Scope, domain_sizes: tuple[int, ...], pos: int) -> tuple[list[int], int]:
+    """Row-major layout of the fibers of coordinate `pos` of a scope's table.
 
-
-def index_tuple(scope: Scope, domain_sizes: tuple[int, ...], index: int) -> Assignment:
-    """Inverse of tuple_index."""
-    sizes = scope_sizes(scope, domain_sizes)
-    total = prod(sizes)
-    if not 0 <= index < total:
-        raise ValueError(f"index {index} out of range for scope {scope}")
-    out = [0] * len(scope)
-    for pos in range(len(scope) - 1, -1, -1):
-        index, out[pos] = divmod(index, sizes[pos])
-    return tuple(out)
-
-
-def project_assignment(assignment: Assignment, scope: Scope, subscope: Scope) -> Assignment:
-    """Restrict an assignment over `scope` to the variables in `subscope`."""
-    pos = {var: i for i, var in enumerate(scope)}
-    return tuple(assignment[pos[v]] for v in subscope)
-
-
-def extend_assignment(partial: Assignment, rest: Scope, var: int, value: int) -> Assignment:
-    """Insert `value` for `var` into an assignment over `rest` (var not in rest)."""
-    out = []
-    placed = False
-    for v, a in zip(rest, partial):
-        if not placed and var < v:
-            out.append(value)
-            placed = True
-        out.append(a)
-    if not placed:
-        out.append(value)
-    return tuple(out)
-
-
-def fiber_indices(scope: Scope, domain_sizes: tuple[int, ...], pos: int, value: int) -> list[int]:
-    """Table indices of all assignments fixing coordinate `pos` to `value`.
-
-    The list follows the canonical order of the assignments to the
-    remaining coordinates.
+    Returns (offsets, stride): the assignments fixing coordinate `pos` to
+    value a sit at indices `off + a * stride` for `off` in offsets. The
+    offsets follow the canonical order of the assignments to the other
+    coordinates, and `stride` is the product of the sizes after `pos`,
+    so consecutive runs of `stride` offsets share the coordinates before
+    `pos`.
     """
-    sizes = scope_sizes(scope, domain_sizes)
-    strides = [0] * len(scope)
+    offsets = [0]
     acc = 1
     for j in range(len(scope) - 1, -1, -1):
-        strides[j] = acc
-        acc *= sizes[j]
-    rest = [j for j in range(len(scope)) if j != pos]
-    base = value * strides[pos]
-    out = []
-    for combo in itertools.product(*(range(sizes[j]) for j in rest)):
-        out.append(base + sum(v * strides[j] for j, v in zip(rest, combo)))
-    return out
+        size = domain_sizes[scope[j]]
+        if j == pos:
+            stride = acc
+        else:
+            offsets = [v * acc + off for v in range(size) for off in offsets]
+        acc *= size
+    return offsets, stride
 
 
 # ---------------------------------------------------------------------------
@@ -195,22 +151,20 @@ def normalize(problem: RawProblem) -> Problem | None:
     new_sizes = tuple(len(k) for k in keep)
     constraints = {}
     for scope, vals in merged.items():
-        old_strides = _strides(scope_sizes(scope, sizes))
-        new_vals = []
-        for combo in itertools.product(*(range(len(keep[v])) for v in scope)):
-            old_index = sum(keep[v][a] * s for v, a, s in zip(scope, combo, old_strides))
-            new_vals.append(vals[old_index])
-        constraints[scope] = Constraint(scope, new_vals)
+        for pos, var in enumerate(scope):
+            kept = keep[var]
+            if len(kept) == sizes[var]:
+                continue
+            # Scopes are sorted, so the coordinates before `pos` are restricted already.
+            offsets, stride = fiber(scope, new_sizes[:var] + sizes[var:], pos)
+            vals = [
+                vals[off + a * stride]
+                for start in range(0, len(offsets), stride)
+                for a in kept
+                for off in offsets[start:start + stride]
+            ]
+        constraints[scope] = Constraint(scope, vals)
     return Problem(alg, new_sizes, constraints)
-
-
-def _strides(sizes: tuple[int, ...]) -> list[int]:
-    strides = [0] * len(sizes)
-    acc = 1
-    for j in range(len(sizes) - 1, -1, -1):
-        strides[j] = acc
-        acc *= sizes[j]
-    return strides
 
 
 # ---------------------------------------------------------------------------
@@ -264,15 +218,12 @@ def is_k_hyperarc_consistent(problem: Problem, k: int) -> Violation | None:
         table = problem.constraints[scope].values
         for pos, var in enumerate(scope):
             unary = problem.unary(var).values
-            fibers_cache: list[int] | None = None
+            offsets, stride = fiber(scope, problem.domain_sizes, pos)
             for a in range(problem.domain_sizes[var]):
                 ua = unary[a]
                 if ua == alg.bottom:
                     continue
-                if fibers_cache is None:
-                    fibers_cache = fiber_indices(scope, problem.domain_sizes, pos, 0)
-                    stride = _strides(scope_sizes(scope, problem.domain_sizes))[pos]
                 base = a * stride
-                if not any(otimes[ua][table[r + base]] == ua for r in fibers_cache):
+                if not any(otimes[ua][table[off + base]] == ua for off in offsets):
                     return Violation(scope, var, a)
     return None

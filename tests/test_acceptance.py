@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to get one PASS/FAIL
 line per criterion on stdout.
 """
 
+import hashlib
 import itertools
 import json
 import time
@@ -180,6 +181,22 @@ def test_criterion_05_chain_batches_equivalent_and_consistent(batches):
     _report(5, f"{len(runs)} chain runs equivalent+consistent in {elapsed:.1f}s", ok)
     assert not failures, failures[:5]
     assert elapsed < 120.0
+
+
+# sha256 over the canonical output of every batch run, in run order.
+_BATCH_OUTPUT_DIGEST = "48ea00e46ac7c778d3758c8891b67e03cd064ed7b71943618a79713198f8f9e1"
+
+
+def test_batch_outputs_match_frozen_digest(batches):
+    runs, _ = batches
+    digest = hashlib.sha256()
+    for run in runs:
+        if run.outcome.inconsistent:
+            digest.update(b"inconsistent\n")
+        else:
+            digest.update(d.save_problem(run.outcome.problem).encode())
+    assert len(runs) == 2000
+    assert digest.hexdigest() == _BATCH_OUTPUT_DIGEST
 
 
 def test_criterion_06_inconsistent_outcomes_confirmed(batches):

@@ -90,6 +90,18 @@ class TestPipeline:
         assert main(["consistency", "--problem", str(weighted_problem_file), "--k", "2"]) == 2
         assert main(["equiv", "--a", str(weighted_problem_file), "--b", str(out)]) == 0
 
+    def test_enforce_counters_json_is_one_object(self, tmp_path, weighted_problem_file, capsys):
+        out = tmp_path / "enforced.json"
+        assert main(["enforce", "--problem", str(weighted_problem_file), "--k", "2",
+                     "--counters", "--json", "-o", str(out)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {
+            "counters": {"inner_tuple_iterations": 16, "main_loop_iterations": 2,
+                         "project_calls": 2},
+            "inconsistent": False,
+            "output": str(out),
+        }
+
     def test_enforce_inconsistent_instance_exits_2(self, tmp_path, w10_file):
         # the only variable has a constant-bottom unary constraint
         prob = tmp_path / "dead.json"

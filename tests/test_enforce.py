@@ -1,6 +1,10 @@
+import hashlib
+from math import comb
+
 import pytest
 
 import drlcsp as d
+from drlcsp.rng import SplitMix64
 
 
 class TestStrategy:
@@ -146,7 +150,8 @@ class TestEnforce:
         assert not out.inconsistent
         assert d.is_k_hyperarc_consistent(out.problem, 2) is None
         assert d.check_equivalent(p, out.problem) is None
-        assert out.counters.main_loop_iterations >= 3
+        # each variable is visited once, even after its domain shrinks
+        assert out.counters.main_loop_iterations == 3
 
 
 class TestNonChainRegressions:
@@ -179,3 +184,59 @@ class TestNonChainRegressions:
         p = d.normalize(raw)
         out = d.enforce_k_hyperarc(p, 2, d.JOIN)
         assert d.check_equivalent(p, out.problem) is None
+
+
+# Bottom < a, b < m < top: a Heyting algebra that is not prelinear.
+_DIAMOND_UNDER_TOP = [
+    [1, 1, 1, 1, 1],
+    [0, 1, 0, 1, 1],
+    [0, 0, 1, 1, 1],
+    [0, 0, 0, 1, 1],
+    [0, 0, 0, 0, 1],
+]
+_SWEEP_CORPUS_DIGEST = "1889d0743a069f66b141697a9290c4e1b655552b0a9ee119cdb278112507dd3a"
+
+
+def _non_chain_corpus():
+    """Seeded runs over four non-chain algebras, all strategies, k in {2, 3}."""
+    boolean = d.boolean()
+    luk3 = d.lukasiewicz_chain(3)
+    diamond = d.heyting_from_lattice(_DIAMOND_UNDER_TOP, "diamond-under-top")
+    algebras = [
+        d.direct_product(boolean, boolean),
+        d.direct_product(luk3, d.godel_chain(3)),
+        diamond,
+        d.direct_product(diamond, luk3),
+    ]
+    for algebra in algebras:
+        for seed in range(100):
+            rng = SplitMix64(seed)
+            n = 2 + rng.below(3)
+            dsz = 1 + rng.below(3)
+            max_arity = 2 if n == 2 else 3
+            pool = sum(comb(n, a) for a in range(2, max_arity + 1))
+            e = n + 1 + rng.below(min(5, pool))
+            problem = d.gen_random_problem(algebra, n, dsz, e, max_arity, seed)
+            for strategy in (d.MAXIMAL_LEX, d.maximal_seeded(seed), d.JOIN):
+                for k in (2, 3):
+                    yield k, strategy, d.enforce_k_hyperarc(problem, k, strategy)
+
+
+class TestSweepOnNonChains:
+    def test_outputs_frozen_and_second_pass_is_noop(self):
+        digest = hashlib.sha256()
+        runs = changed = 0
+        for k, strategy, out in _non_chain_corpus():
+            runs += 1
+            if out.inconsistent:
+                digest.update(b"inconsistent\n")
+                continue
+            digest.update(d.save_problem(out.problem).encode())
+            # Entries only rise and unary values only fall, so an unchanged
+            # problem means every projection of the second pass was a no-op.
+            again = d.enforce_k_hyperarc(out.problem, k, strategy)
+            if again.inconsistent or again.problem != out.problem:
+                changed += 1
+        assert runs == 2400
+        assert changed == 0
+        assert digest.hexdigest() == _SWEEP_CORPUS_DIGEST

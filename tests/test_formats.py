@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -182,6 +183,24 @@ class TestGenerator:
     def test_not_enough_scopes(self, w10):
         with pytest.raises(d.NotEnoughScopes):
             d.gen_random_problem(w10, 2, 2, 5, 2, 0)
+
+    # Each case is refused before the work it bounds: the peak allocation
+    # stays far below one table of over 10^6 entries or a pool of about
+    # 10^9 scopes.
+    @pytest.mark.parametrize("args", [
+        (2, 1001, 3, 2, 0),
+        (2, 1_000_001, 2, 2, 0),
+        (400, 2, 401, 4, 0),
+    ], ids=["table", "unary-table", "scope-pool"])
+    def test_too_large_refused_before_allocating(self, w10, args):
+        tracemalloc.start()
+        try:
+            with pytest.raises(d.TooLarge):
+                d.gen_random_problem(w10, *args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     @pytest.mark.parametrize("args", [
         (0, 2, 3, 2, 0),

@@ -6,43 +6,6 @@ import pytest
 import drlcsp as d
 
 
-class TestTupleIndexing:
-    def test_row_major_example(self):
-        # scope variables have sizes 2 and 3; the last one varies fastest
-        sizes = (9, 2, 3)
-        assert d.tuple_index((1, 2), sizes, (1, 2)) == 5
-
-    def test_empty_scope(self):
-        assert d.tuple_index((), (2, 3), ()) == 0
-        assert d.index_tuple((), (2, 3), 0) == ()
-
-    def test_round_trip_all_indices(self):
-        sizes = (2, 3)
-        scope = (0, 1)
-        seen = []
-        for idx in range(6):
-            t = d.index_tuple(scope, sizes, idx)
-            assert d.tuple_index(scope, sizes, t) == idx
-            seen.append(t)
-        assert seen == list(itertools.product(range(2), range(3)))
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            d.tuple_index((0,), (2,), (2,))
-        with pytest.raises(ValueError):
-            d.index_tuple((0,), (2,), 2)
-        with pytest.raises(ValueError):
-            d.tuple_index((0, 1), (2, 2), (0,))
-
-    def test_projection_and_extension(self):
-        t = (4, 7, 9)
-        assert d.project_assignment(t, (0, 2, 5), (0, 5)) == (4, 9)
-        assert d.project_assignment(t, (0, 2, 5), ()) == ()
-        assert d.extend_assignment((4, 9), (0, 5), 2, 7) == t
-        assert d.extend_assignment((), (), 3, 1) == (1,)
-        assert d.extend_assignment((5,), (1,), 4, 2) == (5, 2)
-
-
 class TestNormalize:
     def test_duplicate_unary_merges_pointwise(self, w10):
         raw = d.RawProblem(w10, (2,), [
@@ -74,6 +37,17 @@ class TestNormalize:
         assert p.unary(0).values == [1, 2]
         # rows for surviving values 0 and 2 of the old table
         assert p.constraints[(0, 1)].values == [0, 1, 4, 4]
+
+    def test_every_shrunk_coordinate_restricted(self, w4):
+        raw = d.RawProblem(w4, (3, 3), [
+            d.Constraint((0,), [1, 4, 2]),  # value 1 of variable 0 dies
+            d.Constraint((1,), [4, 0, 1]),  # value 0 of variable 1 dies
+            d.Constraint((0, 1), [0, 1, 2, 3, 0, 1, 2, 3, 0]),
+        ])
+        p = d.normalize(raw)
+        assert p.domain_sizes == (2, 2)
+        # rows for surviving values 0 and 2, columns for 1 and 2
+        assert p.constraints[(0, 1)].values == [1, 2, 3, 0]
 
     def test_all_values_bottom_is_inconsistent(self, w4):
         raw = d.RawProblem(w4, (2,), [d.Constraint((0,), [4, 4])])
