@@ -207,11 +207,12 @@ def enforce_k_hyperarc(
 
 
 def check_counter_bound(counters: Counters, n: int, d: int, e: int) -> bool:
-    """Verify the worklist bounds: n(d+1) visits and n(d+1)e projections.
+    """Verify the sweep's bounds: at most n visits and n*e projections.
 
-    The bounds are those of the worklist form of the algorithm, which
-    the single sweep meets trivially: it visits at most n <= n(d+1)
-    variables and projects each stored scope at most once per variable.
+    The sweep visits each variable once and projects each stored scope
+    at most once per visited variable. These bounds are stricter than
+    the worklist form's n(d+1) visits and n(d+1)e projections, which
+    allow d re-queues per variable. `d` is kept so that callers can pass
+    the instance shape unchanged.
     """
-    budget = n * (d + 1)
-    return counters.main_loop_iterations <= budget and counters.project_calls <= budget * e
+    return counters.main_loop_iterations <= n and counters.project_calls <= n * e

@@ -15,6 +15,7 @@ from .algebra import (
     AxiomCheck,
     AxiomReport,
     FiniteDRL,
+    carrier_cap,
     check_axioms,
     derive_lattice,
     residuum_from_tables,
@@ -24,6 +25,7 @@ from .errors import (
     NotEnoughScopes,
     ParseError,
     ScopeError,
+    SizeOverflow,
     TooLarge,
     ValueOutOfRange,
 )
@@ -89,6 +91,9 @@ def load_algebra(text: str, *, validate: bool = True) -> FiniteDRL:
     size = obj.get("size")
     if not isinstance(size, int) or size < 1:
         raise ParseError("'size' must be a positive integer")
+    cap = carrier_cap()
+    if size > cap:
+        raise SizeOverflow(size, cap)
     for key in ("top", "bottom"):
         v = obj.get(key)
         if not isinstance(v, int) or not 0 <= v < size:
@@ -224,7 +229,7 @@ def load_problem_raw(
     if (
         not isinstance(domains, list)
         or not domains
-        or any(not isinstance(d, int) or d < 1 for d in domains)
+        or any(type(d) is not int or d < 1 for d in domains)
     ):
         raise ParseError("'domains' must be a nonempty list of positive sizes")
     domain_sizes = tuple(domains)
@@ -233,12 +238,13 @@ def load_problem_raw(
     entries = obj.get("constraints")
     if not isinstance(entries, list):
         raise ParseError("'constraints' must be a list")
+    elements = frozenset(range(algebra.size))
     constraints = []
     for entry in entries:
         if not isinstance(entry, dict):
             raise ParseError("each constraint must be an object")
         scope = entry.get("scope")
-        if not isinstance(scope, list) or any(not isinstance(v, int) for v in scope):
+        if not isinstance(scope, list) or any(type(v) is not int for v in scope):
             raise ScopeError("'scope' must be a list of variable ids")
         if any(not 0 <= v < n for v in scope):
             raise ScopeError(f"scope {scope} mentions unknown variables")
@@ -251,7 +257,9 @@ def load_problem_raw(
         values = entry.get("values")
         if not isinstance(values, list) or len(values) != expected:
             raise ParseError(f"scope {scope} needs exactly {expected} values")
-        if any(not isinstance(v, int) or not 0 <= v < algebra.size for v in values):
+        # Two passes in C; the type test also rejects JSON booleans, which
+        # the set lookup alone would take for 0 and 1.
+        if set(map(type, values)) != {int} or not elements.issuperset(values):
             raise ValueOutOfRange(f"scope {scope} has values outside the algebra")
         constraints.append(Constraint(scope_t, list(values)))
     return RawProblem(algebra, domain_sizes, constraints)

@@ -1,7 +1,18 @@
 """Brute-force ground truth: optimal solutions, equivalence, maximality.
 
-Everything here enumerates exhaustively and is meant to stay simple
-enough to trust; the enforcement algorithm is validated against it.
+Everything here enumerates every full assignment; the enforcement
+algorithm is validated against it. `model.combined_value`, which folds
+the combination product over the constraints one assignment at a time,
+is the reference. Here the same fold runs over many assignments at once:
+starting from top, each constraint table, reshaped so that its axes line
+up with the variables of its scope and broadcast over the rest, is
+combined in with `acc = otimes[acc, table]`, in `iter_constraints`
+order. The values of the assignments come out in canonical row-major
+order, in chunks of at most `_CHUNK` assignments: the leading variables
+are enumerated in Python, so memory stays bounded whatever the size of
+the problem. Values are stored in the smallest unsigned integer type
+that holds the carrier. Before any of that, the number of assignments is
+checked against a cap, which raises TooLarge.
 """
 
 from __future__ import annotations
@@ -11,11 +22,15 @@ from dataclasses import dataclass
 from math import prod
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .algebra import FiniteDRL
 from .errors import ShapeMismatch, TooLarge
-from .model import Assignment, Problem, RawProblem, combined_value
+from .model import Assignment, Problem, RawProblem, iter_constraints
 
 DEFAULT_TUPLE_CAP = 1_000_000
+# Most assignments evaluated by one broadcast fold.
+_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -54,16 +69,60 @@ def _check_size(domain_sizes: tuple[int, ...], cap: int) -> None:
         raise TooLarge(f"{prod(domain_sizes)} assignments exceed the cap {cap}")
 
 
+def _value_chunks(problem: Problem | RawProblem) -> Iterator[np.ndarray]:
+    """Combined values of all full assignments, in canonical order, chunk by chunk.
+
+    Variable `cut`, the first whose successors together have at most
+    `_CHUNK` assignments, is split into blocks of values; the variables
+    before it are fixed one combination at a time, and the variables
+    after it span their whole domains, so each chunk is a contiguous run
+    of at most `_CHUNK` assignments.
+    """
+    alg = problem.algebra
+    dtype = np.min_scalar_type(alg.size - 1)
+    otimes = np.array(alg.otimes, dtype=dtype)
+    # A problem without variables has one assignment, the empty tuple.
+    sizes = problem.domain_sizes or (1,)
+    n = len(sizes)
+    cut = 0
+    while prod(sizes[cut + 1:]) > _CHUNK:
+        cut += 1
+    block = _CHUNK // max(1, prod(sizes[cut + 1:]))  # the product is 0 for an empty domain
+
+    # Each table gets one axis per leading variable of its scope, then one
+    # axis per variable from `cut` on: its own size in the scope, else 1.
+    tables = []
+    for c in iter_constraints(problem):
+        lead = tuple(v for v in c.scope if v < cut)
+        shape = [sizes[v] for v in lead]
+        shape += [sizes[v] if v in c.scope else 1 for v in range(cut, n)]
+        table = np.array(c.values, dtype=dtype).reshape(shape)
+        tables.append((table, lead, cut in c.scope))
+
+    for fixed in itertools.product(*(range(size) for size in sizes[:cut])):
+        for lo in range(0, sizes[cut], block):
+            hi = min(lo + block, sizes[cut])
+            acc = np.full((hi - lo, *sizes[cut + 1:]), alg.top, dtype=dtype)
+            for table, lead, spans_cut in tables:
+                index = tuple(fixed[v] for v in lead)
+                index += (slice(lo, hi) if spans_cut else slice(None),)
+                acc = otimes[acc, table[index]]
+            yield acc.ravel()
+
+
 def brute_force_solve(problem: Problem | RawProblem, cap: int = DEFAULT_TUPLE_CAP) -> SolutionSet:
     """Enumerate every full assignment and collect the maximal outcomes."""
     _check_size(problem.domain_sizes, cap)
     alg = problem.algebra
-    values = [combined_value(problem, t) for t in iter_full_assignments(problem.domain_sizes)]
-    optimal = maximal_elements(alg, values)
-    chosen = set(optimal)
-    solutions = [
-        t for t, v in zip(iter_full_assignments(problem.domain_sizes), values) if v in chosen
-    ]
+    # The empty leading array keeps the concatenation valid when there is no assignment.
+    values = np.concatenate([np.empty(0, np.uint8), *_value_chunks(problem)])
+    occurring = np.flatnonzero(np.bincount(values, minlength=alg.size)).tolist()
+    optimal = maximal_elements(alg, occurring)
+    mask = np.zeros(alg.size, dtype=bool)
+    mask[optimal] = True
+    solutions = list(
+        itertools.compress(iter_full_assignments(problem.domain_sizes), mask[values].tolist())
+    )
     return SolutionSet(optimal, solutions, inconsistent=(optimal == [alg.bottom]))
 
 
@@ -80,9 +139,12 @@ def check_equivalent(
     if a.algebra != b.algebra:
         raise ShapeMismatch("problems use different algebras")
     _check_size(a.domain_sizes, cap)
-    for t in iter_full_assignments(a.domain_sizes):
-        va = combined_value(a, t)
-        vb = combined_value(b, t)
-        if va != vb:
-            return Counterexample(t, va, vb)
+    start = 0
+    for va, vb in zip(_value_chunks(a), _value_chunks(b)):
+        differ = np.flatnonzero(va != vb)
+        if differ.size:
+            i = int(differ[0])
+            assignment = np.unravel_index(start + i, a.domain_sizes)
+            return Counterexample(tuple(map(int, assignment)), int(va[i]), int(vb[i]))
+        start += va.size
     return None

@@ -138,6 +138,12 @@ class TestEnforce:
             out = d.enforce_k_hyperarc(p, 2)
             assert d.check_counter_bound(out.counters, 4, 3, 8)
 
+    def test_counter_bound_is_the_sweeps(self):
+        n, dsz, e = 4, 3, 8
+        assert d.check_counter_bound(d.Counters(n, n * e), n, dsz, e)
+        assert not d.check_counter_bound(d.Counters(n + 1, n * e), n, dsz, e)
+        assert not d.check_counter_bound(d.Counters(n, n * e + 1), n, dsz, e)
+
     def test_requeue_on_shrink_reaches_fixpoint(self, w4):
         # variable 0 loses a value only after costs accumulate over two scopes
         raw = d.RawProblem(w4, (2, 2, 2), [

@@ -4,6 +4,7 @@ import tracemalloc
 import pytest
 
 import drlcsp as d
+from drlcsp.cli import main
 
 
 class TestAlgebraRoundTrip:
@@ -151,6 +152,8 @@ class TestProblemRoundTrip:
         ({"scope": [0, 9], "values": [0, 0, 0, 0]}, d.ScopeError),
         ({"scope": [0], "values": [0]}, d.ParseError),
         ({"scope": [0], "values": [0, 99]}, d.ValueOutOfRange),
+        ({"scope": [0], "values": [-1, 0]}, d.ValueOutOfRange),
+        ({"scope": [0], "values": [0, 1.0]}, d.ValueOutOfRange),
     ])
     def test_constraint_validation(self, w10, constraint, error):
         payload = json.dumps({
@@ -160,6 +163,45 @@ class TestProblemRoundTrip:
         })
         with pytest.raises(error):
             d.load_problem(payload)
+
+    @pytest.mark.parametrize("field,value,error,message", [
+        ("values", [True, 2], d.ValueOutOfRange, "scope [0] has values outside the algebra"),
+        ("scope", [True], d.ScopeError, "'scope' must be a list of variable ids"),
+        ("domains", [True, 2], d.ParseError,
+         "'domains' must be a nonempty list of positive sizes"),
+    ])
+    def test_json_booleans_rejected(self, w10, field, value, error, message):
+        obj = {
+            "algebra": json.loads(d.save_algebra(w10)),
+            "domains": [2, 2],
+            "constraints": [{"scope": [0], "values": [0, 1]}],
+        }
+        if field == "domains":
+            obj["domains"] = value
+        else:
+            obj["constraints"][0][field] = value
+        with pytest.raises(error) as info:
+            d.load_problem_raw(json.dumps(obj))
+        assert str(info.value) == message
+
+
+class TestCarrierCap:
+    def test_oversized_algebra_refused_before_tables_are_read(self, godel3, monkeypatch):
+        monkeypatch.setenv("DRL_SOFT_CARRIER_CAP", "2")
+        with pytest.raises(d.SizeOverflow):
+            d.load_algebra(d.save_algebra(godel3))
+        # The cap is checked first: malformed tables are never looked at.
+        with pytest.raises(d.SizeOverflow):
+            d.load_algebra(json.dumps({"size": 3, "top": 2, "bottom": 0}), validate=False)
+        monkeypatch.setenv("DRL_SOFT_CARRIER_CAP", "3")
+        assert d.load_algebra(d.save_algebra(godel3)) == godel3
+
+    def test_cli_exits_with_the_algebra_error_code(self, godel3, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "godel3.json"
+        path.write_text(d.save_algebra(godel3))
+        monkeypatch.setenv("DRL_SOFT_CARRIER_CAP", "2")
+        assert main(["algebra", "check", str(path)]) == 3
+        assert "exceeds the cap 2" in capsys.readouterr().err
 
 
 class TestGenerator:

@@ -1,8 +1,12 @@
 import itertools
+import tracemalloc
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import drlcsp as d
+from drlcsp.model import table_len
 from drlcsp.rng import SplitMix64
 
 
@@ -131,3 +135,159 @@ class TestCheckEquivalent:
             b = d.brute_force_solve(out.problem)
             assert a.optimal_values == b.optimal_values
             assert a.solutions == b.solutions
+
+
+# ---------------------------------------------------------------------------
+# Cross-check against a scalar loop over combined_value
+
+
+# Bottom < a, b < m < top: a Heyting algebra that is not prelinear.
+_DIAMOND_UNDER_TOP = [
+    [1, 1, 1, 1, 1],
+    [0, 1, 0, 1, 1],
+    [0, 0, 1, 1, 1],
+    [0, 0, 0, 1, 1],
+    [0, 0, 0, 0, 1],
+]
+_ALGEBRAS = (
+    d.direct_product(d.boolean(), d.boolean()),
+    d.direct_product(d.lukasiewicz_chain(3), d.godel_chain(3)),
+    d.heyting_from_lattice(_DIAMOND_UNDER_TOP, "diamond-under-top"),
+    d.weighted(6),
+)
+
+
+def _reference_solve(problem):
+    assignments = list(itertools.product(*(range(s) for s in problem.domain_sizes)))
+    values = [d.combined_value(problem, t) for t in assignments]
+    optimal = _dominated_filter(problem.algebra, values)
+    solutions = [t for t, v in zip(assignments, values) if v in optimal]
+    return optimal, solutions, optimal == [problem.algebra.bottom]
+
+
+def _reference_counterexample(a, b):
+    for t in itertools.product(*(range(s) for s in a.domain_sizes)):
+        va, vb = d.combined_value(a, t), d.combined_value(b, t)
+        if va != vb:
+            return (t, va, vb)
+    return None
+
+
+def _assert_matches_reference(a, b):
+    result = d.brute_force_solve(a)
+    assert (result.optimal_values, result.solutions, result.inconsistent) == _reference_solve(a)
+    assert all(type(v) is int for v in result.optimal_values)
+    assert all(type(v) is int for t in result.solutions for v in t)
+    cex = d.check_equivalent(a, b)
+    expected = _reference_counterexample(a, b)
+    if expected is None:
+        assert cex is None
+    else:
+        assert (cex.assignment, cex.value_a, cex.value_b) == expected
+        assert all(type(v) is int for v in (*cex.assignment, cex.value_a, cex.value_b))
+    return expected is None
+
+
+@st.composite
+def _problem_pairs(draw, shapes=None, max_constraints=6):
+    """A raw problem (duplicate and empty scopes allowed) and a copy with one entry redrawn."""
+    algebra = draw(st.sampled_from(_ALGEBRAS))
+    if shapes is None:
+        sizes = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
+    else:
+        sizes = draw(st.sampled_from(shapes))
+    n = len(sizes)
+    constraints = []
+    for _ in range(draw(st.integers(0, max_constraints))):
+        scope = tuple(sorted(draw(st.sets(st.integers(0, n - 1), max_size=min(3, n)))))
+        length = table_len(scope, sizes)
+        values = draw(st.lists(st.integers(0, algebra.size - 1), min_size=length, max_size=length))
+        constraints.append(d.Constraint(scope, values))
+    a = d.RawProblem(algebra, sizes, constraints)
+    altered = [c.copy() for c in constraints]
+    if altered and draw(st.booleans()):
+        c = altered[draw(st.integers(0, len(altered) - 1))]
+        c.values[draw(st.integers(0, len(c.values) - 1))] = draw(
+            st.integers(0, algebra.size - 1)
+        )
+    return a, d.RawProblem(algebra, sizes, altered)
+
+
+class TestScalarReference:
+    @settings(max_examples=200, deadline=None)
+    @given(_problem_pairs())
+    def test_small_problems(self, pair):
+        _assert_matches_reference(*pair)
+
+    # Each shape has more than 4096 assignments, so the chunks split it: inside
+    # the domain of the first variable (2^13), of the second (3*5*7*11*13,
+    # chunks of 4004 and 1001), of a large last domain behind two of size 1,
+    # and with the leading variable enumerated (3^9).
+    # Tables of up to 4100 entries are drawn on purpose.
+    @settings(
+        max_examples=8,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    @given(_problem_pairs(
+        shapes=[(2,) * 13, (3, 5, 7, 11, 13), (1, 1, 4100), (3,) * 9], max_constraints=4
+    ))
+    def test_problems_split_into_chunks(self, pair):
+        _assert_matches_reference(*pair)
+
+    def test_seeded_batch_with_enforcement_outputs(self):
+        """2,000 generated instances, each compared with its enforced output."""
+        equal = differ = 0
+        for seed in range(2000):
+            rng = SplitMix64(seed)
+            algebra = _ALGEBRAS[seed % len(_ALGEBRAS)]
+            n = 2 + rng.below(3)
+            dsz = 1 + rng.below(3)
+            e = 3 if n == 2 else n + 1 + rng.below(4)
+            problem = d.gen_random_problem(algebra, n, dsz, e, 2 if n == 2 else 3, seed)
+            strategy = (d.MAXIMAL_LEX, d.JOIN, d.maximal_seeded(seed))[seed % 3]
+            out = d.enforce_k_hyperarc(problem, 2, strategy)
+            other = problem if out.inconsistent else out.problem
+            if _assert_matches_reference(problem, other):
+                equal += 1
+            else:
+                differ += 1
+        assert equal and differ
+
+    def test_counterexample_in_a_later_chunk(self, w10):
+        # Chunks cover 4004 then 1001 assignments per value of variable 0;
+        # the only difference is at (2, 4, *), flat index 14014 of 15015.
+        sizes = (3, 5, 7, 11, 13)
+        a = d.RawProblem(w10, sizes, [d.Constraint((0, 1), [1] * 15)])
+        b = d.RawProblem(w10, sizes, [d.Constraint((0, 1), [1] * 14 + [3])])
+        assert d.check_equivalent(a, b) == d.Counterexample((2, 4, 0, 0, 0), 1, 3)
+        assert d.brute_force_solve(b).solutions == list(
+            itertools.product(range(2), range(5), range(7), range(11), range(13))
+        ) + list(itertools.product([2], range(4), range(7), range(11), range(13)))
+
+    def test_duplicate_scopes_fold_in_order(self, bb_square):
+        raw = d.RawProblem(bb_square, (2, 1, 2), [
+            d.Constraint((0, 2), [3, 1, 2, 3]),
+            d.Constraint((1,), [2]),
+            d.Constraint((0, 2), [1, 3, 3, 2]),
+        ])
+        merged = d.normalize(raw)
+        _assert_matches_reference(raw, raw)
+        _assert_matches_reference(merged, merged)
+        assert d.brute_force_solve(raw).solutions == d.brute_force_solve(merged).solutions
+
+    @pytest.mark.parametrize("call", [
+        lambda p: d.brute_force_solve(p),
+        lambda p: d.check_equivalent(p, p),
+    ], ids=["solve", "equivalent"])
+    def test_one_over_the_cap_refused_before_allocating(self, godel3, call):
+        # 101 * 9901 = DEFAULT_TUPLE_CAP + 1
+        problem = d.RawProblem(godel3, (101, 9901), [d.Constraint((0,), [2] * 101)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(d.TooLarge):
+                call(problem)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
