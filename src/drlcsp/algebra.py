@@ -5,11 +5,11 @@ so all laws can be checked exhaustively and bit-exactly. Constructors
 cover the standard chain families (Goedel, Lukasiewicz, weighted cost
 chains), Heyting algebras over finite distributive lattices, and direct
 products. The residuum table is never taken on trust: it is derived from
-the other tables by the adjunction formula
-
-    x -> y  =  join of { z : x * z <= y }
-
-and validated against the residuation law.
+the order and the product as x -> y = the greatest z with x * z <= y,
+taken as the admitted z of highest linear-extension rank, and validated
+against the residuation law at every triple. Law checks visit all
+size**3 points in blocks of max(1, 2**18 // size**2) leading x values,
+so no temporary array exceeds max(2**18, size**2) entries.
 """
 
 from __future__ import annotations
@@ -35,9 +35,8 @@ BoolTable = tuple[tuple[bool, ...], ...]
 DEFAULT_CARRIER_CAP = 4096
 CARRIER_CAP_ENV = "DRL_SOFT_CARRIER_CAP"
 
-# Full triple tensors are materialized only up to this carrier size;
-# larger algebras are checked in per-element slices to bound memory.
-_TENSOR_LIMIT = 128
+# Laws are evaluated on blocks of about this many (x, y, z) points.
+_POINT_BUDGET = 1 << 18
 
 
 def carrier_cap() -> int:
@@ -137,20 +136,15 @@ def _first_failure(t: _Tables, law: Callable) -> tuple[int, int, int] | None:
     """
     n = t.n
     ids = np.arange(n)
-    if n <= _TENSOR_LIMIT:
-        res = np.asarray(law(t, ids[:, None, None], ids[None, :, None], ids[None, None, :]))
-        res = np.broadcast_to(res, (n, n, n))
-        if res.all():
-            return None
-        x, y, z = np.argwhere(~res)[0]
-        return int(x), int(y), int(z)
-    ys = ids[:, None]
-    zs = ids[None, :]
-    for x in range(n):
-        res = np.broadcast_to(np.asarray(law(t, x, ys, zs)), (n, n))
+    ys, zs = ids[None, :, None], ids[None, None, :]
+    block = max(1, _POINT_BUDGET // (n * n))
+    for start in range(0, n, block):
+        xs = ids[start:start + block, None, None]
+        res = np.asarray(law(t, xs, ys, zs))
         if not res.all():
-            y, z = np.argwhere(~res)[0]
-            return x, int(y), int(z)
+            full = np.broadcast_to(res, (len(xs), n, n))
+            x, y, z = np.unravel_index(np.argmin(full), full.shape)  # first False
+            return start + int(x), int(y), int(z)
     return None
 
 
@@ -313,7 +307,7 @@ PROFILES: dict[str, tuple[tuple[str, Callable], ...]] = {
 }
 
 
-def _check_well_formed(a: FiniteDRL) -> None:
+def _check_well_formed(a: FiniteDRL) -> _Tables:
     n = a.size
     if n < 1:
         raise ValueError("carrier must have at least one element")
@@ -325,11 +319,15 @@ def _check_well_formed(a: FiniteDRL) -> None:
     ):
         if len(table) != n or any(len(row) != n for row in table):
             raise ValueError(f"{label} table is not {n}x{n}")
+    arrs = []
     for label, table in (
         ("meet", a.meet), ("join", a.join), ("otimes", a.otimes), ("residuum", a.residuum),
     ):
-        if any(not (0 <= v < n) for row in table for v in row):
+        arr = np.asarray(table)  # no dtype: fractions and huge ints must not be cast away
+        if arr.dtype.kind not in "biu" or arr.min() < 0 or arr.max() >= n:
             raise ValueError(f"{label} table has entries outside the carrier")
+        arrs.append(arr.astype(np.int64, copy=False))
+    return _Tables(n, np.asarray(a.leq, dtype=bool), *arrs, a.top, a.bottom)
 
 
 def check_axioms(algebra: FiniteDRL, profile: str = "drl") -> AxiomReport:
@@ -341,8 +339,7 @@ def check_axioms(algebra: FiniteDRL, profile: str = "drl") -> AxiomReport:
     """
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}")
-    _check_well_formed(algebra)
-    t = _np_view(algebra)
+    t = _check_well_formed(algebra)
     checks = []
     for axiom, law in PROFILES[profile]:
         witness = _first_failure(t, law)
@@ -389,6 +386,14 @@ def _bounds(L: np.ndarray) -> tuple[int, int]:
     return int(tops[0]), int(bottoms[0])
 
 
+def _rank(L: np.ndarray) -> np.ndarray:
+    """Linear-extension rank: x < y forces strictly fewer elements below x,
+    so a subset's greatest (least) element, if any, has the extreme rank."""
+    rank = np.empty(L.shape[0], dtype=np.int64)
+    rank[np.argsort(L.sum(axis=0), kind="stable")] = np.arange(L.shape[0])
+    return rank
+
+
 def derive_lattice(leq) -> tuple[Table, Table, int, int]:
     """Compute (meet, join, top, bottom) induced by a partial order.
 
@@ -400,12 +405,7 @@ def derive_lattice(leq) -> tuple[Table, Table, int, int]:
     top, bottom = _bounds(L)
     n = L.shape[0]
 
-    # Linear-extension rank: x < y forces strictly fewer elements below x,
-    # so the bound of a pair, when it exists, has extreme rank in the
-    # candidate set and one dominance check certifies it.
-    rank = np.empty(n, dtype=np.int64)
-    rank[np.argsort(L.sum(axis=0), kind="stable")] = np.arange(n)
-
+    rank = _rank(L)
     meet = np.empty((n, n), dtype=np.int64)
     join = np.empty((n, n), dtype=np.int64)
     for x in range(n):
@@ -427,46 +427,32 @@ def derive_lattice(leq) -> tuple[Table, Table, int, int]:
 
 
 def residuum_from_tables(leq, join, otimes) -> Table:
-    """Derive the residuum by the adjunction formula and validate it.
+    """Derive the residuum as the greatest admitted element and validate it.
 
+    x -> y is the rank-maximal z with x * z <= y; `join` is not needed.
     Raises ResiduationFails when the result violates the residuation law
     at some triple, which signals that the inputs were not a bounded
     lattice with a monotone product distributing over joins.
     """
     L = _as_bool_matrix(leq)
-    J = np.asarray(join, dtype=np.int64)
     O = np.asarray(otimes, dtype=np.int64)
-    n = L.shape[0]
-    bottoms = np.where(L.all(axis=1))[0]
-    if len(bottoms) != 1:
+    if L.all(axis=1).sum() != 1:
         raise NotBounded()
-    bottom = int(bottoms[0])
 
-    R = np.empty((n, n), dtype=np.int64)
-    for x in range(n):
-        admits = L[O[x]]  # admits[z, y]: x * z <= y
-        acc = np.full(n, bottom, dtype=np.int64)
-        for z in range(n):
-            sel = admits[z]
-            acc[sel] = J[acc[sel], z]
-        R[x] = acc
-
-    for x in range(n):
-        lhs = L[O[x]].T  # [y, z]: x * z <= y
-        rhs = L[:, R[x]].T  # [y, z]: z <= x -> y
-        neq = lhs != rhs
+    by_rank = np.argsort(-_rank(L))
+    LT = np.ascontiguousarray(L.T)  # LT[y, z]: z <= y
+    R = np.empty_like(O)
+    for x in range(len(L)):
+        R[x] = by_rank[LT[:, O[x, by_rank]].argmax(axis=1)]  # first admitted z by rank
+        neq = LT[:, O[x]] != LT[R[x]]  # [y, z]: x * z <= y differs from z <= x -> y
         if neq.any():
             y, z = np.argwhere(neq)[0]
             raise ResiduationFails((x, int(y), int(z)))
     return _to_table(R)
 
 
-def _to_table(arr: np.ndarray) -> Table:
-    return tuple(tuple(int(v) for v in row) for row in arr)
-
-
-def _to_bool_table(arr: np.ndarray) -> BoolTable:
-    return tuple(tuple(bool(v) for v in row) for row in arr)
+def _to_table(arr: np.ndarray) -> Table | BoolTable:
+    return tuple(map(tuple, arr.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +557,7 @@ def heyting_from_lattice(leq, name: str = "") -> FiniteDRL:
     witness = _first_failure(t, _law_otimes_distributes_join)
     if witness is not None:
         raise NotDistributive(witness)
-    L = _to_bool_table(_as_bool_matrix(leq))
+    L = _to_table(_as_bool_matrix(leq))
     residuum = residuum_from_tables(L, join, meet)
     return FiniteDRL(n, L, meet, join, meet, residuum, top, bottom, name or f"heyting({n})")
 
@@ -590,9 +576,7 @@ def direct_product(a: FiniteDRL, b: FiniteDRL, cap: int | None = None) -> Finite
         out = (A[:, None, :, None] * nb + B[None, :, None, :]).reshape(size, size)
         return _to_table(out)
 
-    LA = np.asarray(a.leq, dtype=bool)
-    LB = np.asarray(b.leq, dtype=bool)
-    leq = _to_bool_table((LA[:, None, :, None] & LB[None, :, None, :]).reshape(size, size))
+    leq = _to_table(np.kron(np.asarray(a.leq, dtype=bool), np.asarray(b.leq, dtype=bool)))
     return FiniteDRL(
         size=size,
         leq=leq,
@@ -626,8 +610,7 @@ def expand_cis(join, otimes, top: int, bottom: int, name: str = "") -> FiniteDRL
         if witness is not None:
             raise NotACIS(axiom, witness)
 
-    ids = np.arange(n)
-    leq = _to_bool_table(J == ids[None, :])  # x <= y iff x v y = y
+    leq = _to_table(J == np.arange(n))  # x <= y iff x v y = y
     meet = _to_table(O)
     join_t = _to_table(J)
     residuum = residuum_from_tables(leq, join_t, meet)

@@ -67,10 +67,11 @@ def _int_table(obj, key: str, size: int) -> tuple[tuple[int, ...], ...]:
         not isinstance(table, list)
         or len(table) != size
         or any(not isinstance(row, list) or len(row) != size for row in table)
-        or any(not isinstance(v, int) or isinstance(v, bool) for row in table for v in row)
+        # The exact type test also rejects JSON booleans.
+        or set(map(type, itertools.chain.from_iterable(table))) != {int}
     ):
         raise ParseError(f"{key!r} must be a {size}x{size} integer table")
-    return tuple(tuple(row) for row in table)
+    return tuple(map(tuple, table))
 
 
 def load_algebra(text: str, *, validate: bool = True) -> FiniteDRL:
@@ -103,9 +104,9 @@ def load_algebra(text: str, *, validate: bool = True) -> FiniteDRL:
         raise ParseError("'name' must be a string")
 
     leq_raw = _int_table(obj, "leq", size)
-    if any(v not in (0, 1) for row in leq_raw for v in row):
+    if not {0, 1}.issuperset(itertools.chain.from_iterable(leq_raw)):
         raise ParseError("'leq' entries must be 0 or 1")
-    leq = tuple(tuple(bool(v) for v in row) for row in leq_raw)
+    leq = tuple(tuple(map(bool, row)) for row in leq_raw)
     otimes = _int_table(obj, "otimes", size)
     _check_entries(otimes, size, "otimes")
     supplied = {}
@@ -158,7 +159,7 @@ def load_algebra(text: str, *, validate: bool = True) -> FiniteDRL:
 
 
 def _check_entries(table, size: int, key: str) -> None:
-    if any(not 0 <= v < size for row in table for v in row):
+    if not frozenset(range(size)).issuperset(itertools.chain.from_iterable(table)):
         raise ParseError(f"{key!r} has entries outside the carrier")
 
 

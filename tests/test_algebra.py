@@ -1,8 +1,14 @@
+import dataclasses
 import itertools
+import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 import drlcsp as d
+from drlcsp import algebra
+from lattice_catalog import distributive_lattices
 
 BUILTIN_SAMPLE = [
     lambda: d.boolean(),
@@ -122,6 +128,84 @@ class TestResiduumDerivation:
             d.residuum_from_tables(leq, join, otimes)
 
 
+def _sup_residuum(leq, join, otimes):
+    """Reference: x -> y as the join of {z : x * z <= y}, folded from bottom."""
+    L = np.asarray(leq, dtype=bool)
+    J = np.asarray(join, dtype=np.int64)
+    O = np.asarray(otimes, dtype=np.int64)
+    n = L.shape[0]
+    bottom = int(np.where(L.all(axis=1))[0][0])
+    R = np.empty((n, n), dtype=np.int64)
+    for x in range(n):
+        admits = L[O[x]]  # admits[z, y]: x * z <= y
+        acc = np.full(n, bottom, dtype=np.int64)
+        for z in range(n):
+            sel = admits[z]
+            acc[sel] = J[acc[sel], z]
+        R[x] = acc
+    for x in range(n):
+        if (L[O[x]].T != L[:, R[x]].T).any():
+            raise d.ResiduationFails((x, 0, 0))
+    return tuple(tuple(int(v) for v in row) for row in R)
+
+
+def _random_monoid_table(meet, top, bottom, rng):
+    """Commutative table with bottom annihilating and top the identity.
+
+    Each other entry is the meet or, one time in three, a random element,
+    so that residuated and non-residuated tables both occur.
+    """
+    n = len(meet)
+    table = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(x, n):
+            v = rng.randrange(n) if rng.randrange(3) == 0 else meet[x][y]
+            if bottom in (x, y):
+                v = bottom
+            elif x == top or y == top:
+                v = y if x == top else x
+            table[x][y] = table[y][x] = v
+    return table
+
+
+class TestResiduumAgainstSupFormula:
+    def _agree(self, leq, join, otimes) -> bool:
+        """True when a residuum exists; asserts both derivations agree."""
+        try:
+            expected = _sup_residuum(leq, join, otimes)
+        except d.ResiduationFails:
+            with pytest.raises(d.ResiduationFails):
+                d.residuum_from_tables(leq, join, otimes)
+            return False
+        assert d.residuum_from_tables(leq, join, otimes) == expected
+        return True
+
+    def test_builtins_and_heyting_algebras(self):
+        algebras = [make() for make in BUILTIN_SAMPLE]
+        algebras += [d.weighted(9), d.lukasiewicz_chain(8), d.godel_chain(8)]
+        algebras += [d.heyting_from_lattice(leq) for _, leq in distributive_lattices(6)]
+        for a in algebras:
+            assert self._agree(a.leq, a.join, a.otimes), a.name
+
+    def test_products(self, boolean_alg, godel3, luk3, w4):
+        diamond = d.heyting_from_lattice(DIAMOND)
+        for a, b in [(godel3, w4), (luk3, godel3), (boolean_alg, diamond),
+                     (d.lukasiewicz_chain(4), luk3), (diamond, w4)]:
+            p = d.direct_product(a, b)
+            assert self._agree(p.leq, p.join, p.otimes), p.name
+
+    def test_random_tables_over_distributive_lattices(self):
+        rng = random.Random(20081)
+        outcomes = set()
+        for _, leq in distributive_lattices(6):
+            meet, join, top, bottom = d.derive_lattice(leq)
+            for _ in range(300):
+                otimes = _random_monoid_table(meet, top, bottom, rng)
+                outcomes.add((len(leq) > 4, self._agree(leq, join, otimes)))
+        # residuated and non-residuated tables occur, on small and larger carriers
+        assert outcomes == {(False, False), (False, True), (True, False), (True, True)}
+
+
 class TestCheckAxioms:
     @pytest.mark.parametrize("profile", ["drl", "derived"])
     def test_builtins_pass(self, profile):
@@ -176,6 +260,13 @@ class TestCheckAxioms:
         bad = d.FiniteDRL(2, boolean_alg.leq, boolean_alg.meet, boolean_alg.join,
                           ((0, 5), (0, 1)), boolean_alg.residuum, 1, 0)
         with pytest.raises(ValueError):
+            d.check_axioms(bad, "drl")
+
+    @pytest.mark.parametrize("entry", [-1, -0.5, 0.5, 2**63, 2**64, -(2**63) - 1])
+    def test_out_of_range_or_fractional_entry_rejected(self, boolean_alg, entry):
+        bad = d.FiniteDRL(2, boolean_alg.leq, boolean_alg.meet, boolean_alg.join,
+                          ((0, entry), (0, 1)), boolean_alg.residuum, 1, 0)
+        with pytest.raises(ValueError, match="'?otimes'? table has entries outside"):
             d.check_axioms(bad, "drl")
 
 
@@ -311,3 +402,62 @@ class TestExpandCIS:
         with pytest.raises(d.NotACIS) as info:
             d.expand_cis(luk3.join, luk3.otimes, luk3.top, luk3.bottom)
         assert info.value.axiom == "otimes-idempotent"
+
+
+def _tensor_first_failure(t, law):
+    """Reference: evaluate `law` on the whole n**3 grid at once."""
+    ids = np.arange(t.n)
+    res = np.asarray(law(t, ids[:, None, None], ids[None, :, None], ids[None, None, :]))
+    res = np.broadcast_to(res, (t.n,) * 3)
+    if res.all():
+        return None
+    return tuple(int(v) for v in np.argwhere(~res)[0])
+
+
+@pytest.fixture(scope="module")
+def luk12_godel12():
+    return d.direct_product(d.lukasiewicz_chain(12), d.godel_chain(12))
+
+
+class TestBlockedEvaluator:
+    # Carrier 144 is checked in blocks of 2**18 // 144**2 = 12 values of x;
+    # each planted failure first shows at an x in the last block.
+    @pytest.mark.parametrize("profile,axiom,table,cell,value,witness", [
+        ("drl", "meet-is-glb", "meet", (140, 141), 0, (140, 141, 1)),
+        ("derived", "residuum-characterizes-order", "residuum", (137, 137), 0, (137, 137, 0)),
+        ("cis-reduct", "join-idempotent", "join", (141, 141), 0, (141, 0, 0)),
+    ])
+    def test_failure_in_last_block(self, luk12_godel12, profile, axiom, table, cell,
+                                   value, witness):
+        a = luk12_godel12
+        rows = [list(row) for row in getattr(a, table)]
+        rows[cell[0]][cell[1]] = value
+        bad = dataclasses.replace(a, **{table: tuple(map(tuple, rows))})
+        block = algebra._POINT_BUDGET // a.size ** 2
+        assert witness[0] >= a.size - block
+
+        check = next(c for c in d.check_axioms(bad, profile).checks if c.axiom == axiom)
+        law = dict(algebra.PROFILES[profile])[axiom]
+        assert check.counterexample == witness
+        assert _tensor_first_failure(algebra._np_view(bad), law) == witness
+        assert d.replay_axiom(bad, profile, axiom, witness) is False
+
+    def test_clean_algebra_agrees_with_whole_grid(self):
+        a = d.direct_product(d.godel_chain(9), d.weighted(8))  # three blocks
+        t = algebra._np_view(a)
+        for profile, laws in algebra.PROFILES.items():
+            report = d.check_axioms(a, profile)
+            for (axiom, law), check in zip(laws, report.checks):
+                assert check.counterexample == _tensor_first_failure(t, law), (profile, axiom)
+
+    def test_peak_memory_is_bounded(self):
+        a = d.direct_product(d.lukasiewicz_chain(11), d.godel_chain(11))
+        tracemalloc.start()
+        try:
+            report = d.check_axioms(a, "drl")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the whole 121**3 grid of int64 indices alone would need 14 MB
+        assert report.ok
+        assert peak < 12_000_000

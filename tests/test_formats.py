@@ -80,6 +80,20 @@ class TestAlgebraRoundTrip:
         with pytest.raises(d.ParseError):
             d.load_algebra(json.dumps(obj))
 
+    @pytest.mark.parametrize("key,entry,message", [
+        ("otimes", True, "'otimes' must be a 2x2 integer table"),
+        ("otimes", 2, "'otimes' has entries outside the carrier"),
+        ("otimes", -1, "'otimes' has entries outside the carrier"),
+        ("leq", False, "'leq' must be a 2x2 integer table"),
+        ("leq", 2, "'leq' entries must be 0 or 1"),
+    ])
+    def test_table_entry_messages(self, boolean_alg, key, entry, message):
+        obj = json.loads(d.save_algebra(boolean_alg))
+        obj[key][1][0] = entry
+        with pytest.raises(d.ParseError) as info:
+            d.load_algebra(json.dumps(obj))
+        assert str(info.value) == message
+
     def test_invalid_json(self):
         with pytest.raises(d.ParseError):
             d.load_algebra("{nope")
