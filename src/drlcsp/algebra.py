@@ -116,16 +116,27 @@ class _Tables(NamedTuple):
 
 
 def _np_view(a: FiniteDRL) -> _Tables:
-    return _Tables(
-        n=a.size,
-        L=np.asarray(a.leq, dtype=bool),
-        M=np.asarray(a.meet, dtype=np.int64),
-        J=np.asarray(a.join, dtype=np.int64),
-        O=np.asarray(a.otimes, dtype=np.int64),
-        R=np.asarray(a.residuum, dtype=np.int64),
-        top=a.top,
-        bottom=a.bottom,
-    )
+    """Array view of the tables; ValueError unless each is n x n over the carrier."""
+    n = a.size
+    if n < 1:
+        raise ValueError("carrier must have at least one element")
+    if not (0 <= a.top < n and 0 <= a.bottom < n):
+        raise ValueError("top/bottom out of range")
+    for label, table in (
+        ("leq", a.leq), ("meet", a.meet), ("join", a.join),
+        ("otimes", a.otimes), ("residuum", a.residuum),
+    ):
+        if len(table) != n or any(len(row) != n for row in table):
+            raise ValueError(f"{label} table is not {n}x{n}")
+    arrs = []
+    for label, table in (
+        ("meet", a.meet), ("join", a.join), ("otimes", a.otimes), ("residuum", a.residuum),
+    ):
+        arr = np.asarray(table)  # no dtype: fractions and huge ints must not be cast away
+        if arr.dtype.kind not in "biu" or arr.min() < 0 or arr.max() >= n:
+            raise ValueError(f"{label} table has entries outside the carrier")
+        arrs.append(arr.astype(np.int64, copy=False))
+    return _Tables(n, np.asarray(a.leq, dtype=bool), *arrs, a.top, a.bottom)
 
 
 def _first_failure(t: _Tables, law: Callable) -> tuple[int, int, int] | None:
@@ -307,29 +318,6 @@ PROFILES: dict[str, tuple[tuple[str, Callable], ...]] = {
 }
 
 
-def _check_well_formed(a: FiniteDRL) -> _Tables:
-    n = a.size
-    if n < 1:
-        raise ValueError("carrier must have at least one element")
-    if not (0 <= a.top < n and 0 <= a.bottom < n):
-        raise ValueError("top/bottom out of range")
-    for label, table in (
-        ("leq", a.leq), ("meet", a.meet), ("join", a.join),
-        ("otimes", a.otimes), ("residuum", a.residuum),
-    ):
-        if len(table) != n or any(len(row) != n for row in table):
-            raise ValueError(f"{label} table is not {n}x{n}")
-    arrs = []
-    for label, table in (
-        ("meet", a.meet), ("join", a.join), ("otimes", a.otimes), ("residuum", a.residuum),
-    ):
-        arr = np.asarray(table)  # no dtype: fractions and huge ints must not be cast away
-        if arr.dtype.kind not in "biu" or arr.min() < 0 or arr.max() >= n:
-            raise ValueError(f"{label} table has entries outside the carrier")
-        arrs.append(arr.astype(np.int64, copy=False))
-    return _Tables(n, np.asarray(a.leq, dtype=bool), *arrs, a.top, a.bottom)
-
-
 def check_axioms(algebra: FiniteDRL, profile: str = "drl") -> AxiomReport:
     """Exhaustively evaluate one law profile over the whole carrier.
 
@@ -339,7 +327,7 @@ def check_axioms(algebra: FiniteDRL, profile: str = "drl") -> AxiomReport:
     """
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}")
-    t = _check_well_formed(algebra)
+    t = _np_view(algebra)
     checks = []
     for axiom, law in PROFILES[profile]:
         witness = _first_failure(t, law)
@@ -492,6 +480,12 @@ def classify(algebra: FiniteDRL) -> VarietyFlags:
 # Builtin families
 
 
+def _require_within_cap(size: int, cap: int | None = None) -> None:
+    limit = carrier_cap() if cap is None else cap
+    if size > limit:
+        raise SizeOverflow(size, limit)
+
+
 def _chain_tables(n: int) -> tuple[BoolTable, Table, Table]:
     leq = tuple(tuple(i <= j for j in range(n)) for i in range(n))
     meet = tuple(tuple(min(i, j) for j in range(n)) for i in range(n))
@@ -500,6 +494,7 @@ def _chain_tables(n: int) -> tuple[BoolTable, Table, Table]:
 
 
 def _build_chain(n: int, product: Callable[[int, int], int], name: str) -> FiniteDRL:
+    _require_within_cap(n)
     leq, meet, join = _chain_tables(n)
     otimes = tuple(tuple(product(i, j) for j in range(n)) for i in range(n))
     residuum = residuum_from_tables(leq, join, otimes)
@@ -535,6 +530,7 @@ def weighted(n: int) -> FiniteDRL:
     if n < 1:
         raise ValueError("cost bound must be at least 1")
     size = n + 1
+    _require_within_cap(size)
     leq = tuple(tuple(i >= j for j in range(size)) for i in range(size))
     meet = tuple(tuple(max(i, j) for j in range(size)) for i in range(size))
     join = tuple(tuple(min(i, j) for j in range(size)) for i in range(size))
@@ -549,6 +545,7 @@ def heyting_from_lattice(leq, name: str = "") -> FiniteDRL:
     The product is the meet; NotDistributive is raised when the order is
     a lattice but fails distributivity (a residuum cannot exist then).
     """
+    _require_within_cap(len(leq))
     meet, join, top, bottom = derive_lattice(leq)
     n = len(meet)
     M = np.asarray(meet, dtype=np.int64)
@@ -565,9 +562,7 @@ def heyting_from_lattice(leq, name: str = "") -> FiniteDRL:
 def direct_product(a: FiniteDRL, b: FiniteDRL, cap: int | None = None) -> FiniteDRL:
     """Componentwise product; the pair (x, y) gets id x * |b| + y."""
     size = a.size * b.size
-    limit = carrier_cap() if cap is None else cap
-    if size > limit:
-        raise SizeOverflow(size, limit)
+    _require_within_cap(size, cap)
     na, nb = a.size, b.size
 
     def combine(ta, tb):

@@ -19,6 +19,7 @@ from .errors import AlgebraError, FormatError, ParseError
 from .formats import (
     gen_random_problem,
     load_algebra,
+    parse_leq,
     read_algebra,
     read_problem,
     read_problem_raw,
@@ -107,7 +108,7 @@ def _load_lattice_file(path: str):
         obj = obj.get("leq")
     if not isinstance(obj, list):
         raise ParseError(f"{path} must hold an order table (or an object with 'leq')")
-    return obj
+    return parse_leq(obj, len(obj))
 
 
 def _cmd_algebra_make(args) -> int:

@@ -12,8 +12,6 @@ from math import comb
 from pathlib import Path
 
 from .algebra import (
-    AxiomCheck,
-    AxiomReport,
     FiniteDRL,
     carrier_cap,
     check_axioms,
@@ -61,8 +59,7 @@ def save_algebra(algebra: FiniteDRL) -> str:
     return _canonical(payload)
 
 
-def _int_table(obj, key: str, size: int) -> tuple[tuple[int, ...], ...]:
-    table = obj.get(key)
+def _int_table(table, key: str, size: int) -> tuple[tuple[int, ...], ...]:
     if (
         not isinstance(table, list)
         or len(table) != size
@@ -74,19 +71,34 @@ def _int_table(obj, key: str, size: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, table))
 
 
+def parse_leq(table, size: int) -> tuple[tuple[bool, ...], ...]:
+    """Check a parsed `leq` table: size x size, entries 0 or 1."""
+    rows = _int_table(table, "leq", size)
+    if not {0, 1}.issuperset(itertools.chain.from_iterable(rows)):
+        raise ParseError("'leq' entries must be 0 or 1")
+    return tuple(tuple(map(bool, row)) for row in rows)
+
+
 def load_algebra(text: str, *, validate: bool = True) -> FiniteDRL:
     """Parse an algebra, deriving any absent meet/join/residuum tables.
 
-    With validate=True (the default), tables present in the file must
-    match their derivations exactly and the result must pass the full
-    law check; any failure raises AxiomViolation. With validate=False
-    the file's tables are taken as given, which lets `algebra check`
-    report law failures instead of refusing to load.
+    Only absent tables are derived: `derive_lattice` when meet or join
+    is missing, `residuum_from_tables` when the residuum is. With
+    validate=True (the default) the result, with the file's own tables
+    and declared top and bottom, must pass the exhaustive `drl` law
+    check, else AxiomViolation is raised. Those laws force each table to
+    be the unique one the order and the product determine. With
+    validate=False the tables are taken as given, which lets
+    `algebra check` report law failures instead of refusing to load.
     """
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
+    return _algebra_from_obj(obj, validate)
+
+
+def _algebra_from_obj(obj, validate: bool) -> FiniteDRL:
     if not isinstance(obj, dict):
         raise ParseError("algebra payload must be an object")
     size = obj.get("size")
@@ -103,53 +115,25 @@ def load_algebra(text: str, *, validate: bool = True) -> FiniteDRL:
     if not isinstance(name, str):
         raise ParseError("'name' must be a string")
 
-    leq_raw = _int_table(obj, "leq", size)
-    if not {0, 1}.issuperset(itertools.chain.from_iterable(leq_raw)):
-        raise ParseError("'leq' entries must be 0 or 1")
-    leq = tuple(tuple(map(bool, row)) for row in leq_raw)
-    otimes = _int_table(obj, "otimes", size)
+    leq = parse_leq(obj.get("leq"), size)
+    otimes = _int_table(obj.get("otimes"), "otimes", size)
     _check_entries(otimes, size, "otimes")
-    supplied = {}
+    tables = {}
     for key in ("meet", "join", "residuum"):
         if key in obj:
-            supplied[key] = _int_table(obj, key, size)
-            _check_entries(supplied[key], size, key)
+            tables[key] = _int_table(obj[key], key, size)
+            _check_entries(tables[key], size, key)
 
-    derived = None
-    if validate or "meet" not in supplied or "join" not in supplied:
-        derived = derive_lattice(leq)
-    if validate:
-        meet, join, top, bottom = derived
-    else:
-        meet = supplied["meet"] if "meet" in supplied else derived[0]
-        join = supplied["join"] if "join" in supplied else derived[1]
-        top, bottom = obj["top"], obj["bottom"]
-
-    mismatches = []
-    if validate:
-        if top != obj["top"]:
-            mismatches.append(AxiomCheck("declared-top", False, (obj["top"], top, 0)))
-        if bottom != obj["bottom"]:
-            mismatches.append(AxiomCheck("declared-bottom", False, (obj["bottom"], bottom, 0)))
-        for key, derived in (("meet", meet), ("join", join)):
-            if key in supplied and supplied[key] != derived:
-                mismatches.append(
-                    AxiomCheck(f"declared-{key}", False, _first_diff(supplied[key], derived))
-                )
-
-    if "residuum" in supplied and not validate:
-        residuum = supplied["residuum"]
-    else:
-        residuum = residuum_from_tables(leq, join, otimes)
-        if "residuum" in supplied and supplied["residuum"] != residuum:
-            mismatches.append(
-                AxiomCheck("declared-residuum", False, _first_diff(supplied["residuum"], residuum))
-            )
-    if mismatches:
-        raise AxiomViolation(AxiomReport("load", tuple(mismatches)))
+    if "meet" not in tables or "join" not in tables:
+        meet, join, _, _ = derive_lattice(leq)
+        tables.setdefault("meet", meet)
+        tables.setdefault("join", join)
+    if "residuum" not in tables:
+        tables["residuum"] = residuum_from_tables(leq, tables["join"], otimes)
 
     algebra = FiniteDRL(
-        size, leq, meet, join, otimes, residuum, obj["top"], obj["bottom"], name
+        size, leq, tables["meet"], tables["join"], otimes, tables["residuum"],
+        obj["top"], obj["bottom"], name,
     )
     if validate:
         report = check_axioms(algebra, "drl")
@@ -161,14 +145,6 @@ def load_algebra(text: str, *, validate: bool = True) -> FiniteDRL:
 def _check_entries(table, size: int, key: str) -> None:
     if not frozenset(range(size)).issuperset(itertools.chain.from_iterable(table)):
         raise ParseError(f"{key!r} has entries outside the carrier")
-
-
-def _first_diff(a, b) -> tuple[int, int, int]:
-    for x, (ra, rb) in enumerate(zip(a, b)):
-        for y, (va, vb) in enumerate(zip(ra, rb)):
-            if va != vb:
-                return (x, y, 0)
-    return (0, 0, 0)
 
 
 def read_algebra(path: str | Path) -> FiniteDRL:
@@ -222,7 +198,7 @@ def load_problem_raw(
                 path = Path(base_dir) / path
             algebra = read_algebra(path)
         elif isinstance(ref, dict):
-            algebra = load_algebra(json.dumps(ref))
+            algebra = _algebra_from_obj(ref, validate=True)
         else:
             raise ParseError("'algebra' must be an inline object or a file path")
 

@@ -268,6 +268,10 @@ class TestCheckAxioms:
                           ((0, entry), (0, 1)), boolean_alg.residuum, 1, 0)
         with pytest.raises(ValueError, match="'?otimes'? table has entries outside"):
             d.check_axioms(bad, "drl")
+        with pytest.raises(ValueError, match="'?otimes'? table has entries outside"):
+            d.classify(bad)
+        with pytest.raises(ValueError, match="'?otimes'? table has entries outside"):
+            d.replay_axiom(bad, "drl", "otimes-commutative", (0, 1, 0))
 
 
 class TestClassify:
@@ -320,6 +324,31 @@ class TestBuiltins:
     def test_bad_params(self, bad_call):
         with pytest.raises(ValueError):
             bad_call()
+
+    @pytest.mark.parametrize("build", [
+        d.godel_chain,
+        d.lukasiewicz_chain,
+        lambda size: d.weighted(size - 1),
+        lambda size: d.heyting_from_lattice([[i <= j for j in range(size)] for i in range(size)]),
+    ], ids=["godel", "lukasiewicz", "weighted", "heyting"])
+    def test_carrier_cap(self, build, monkeypatch):
+        monkeypatch.setenv("DRL_SOFT_CARRIER_CAP", "8")
+        assert build(8).size == 8
+        with pytest.raises(d.SizeOverflow) as info:
+            build(9)
+        assert (info.value.size, info.value.cap) == (9, 8)
+
+    def test_over_the_default_cap_refused_before_building(self):
+        # each table of a million-element chain would hold 10^12 entries
+        tracemalloc.start()
+        try:
+            for build in (d.godel_chain, d.lukasiewicz_chain, d.weighted):
+                with pytest.raises(d.SizeOverflow):
+                    build(10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_heyting_diamond_residuum(self):
         h = d.heyting_from_lattice(DIAMOND)

@@ -55,6 +55,37 @@ class TestAlgebraCommands:
                      "--lattice", str(lattice), "-o", str(out)]) == 0
         assert d.read_algebra(out).otimes == d.read_algebra(out).meet
 
+    @pytest.mark.parametrize("table,message", [
+        ([[1, 2], [0, 1]], "'leq' entries must be 0 or 1"),
+        ([[1, 1], [0]], "'leq' must be a 2x2 integer table"),
+        ({"leq": [[1, 1, 1], [0, 1], [0, 0, 1]]}, "'leq' must be a 3x3 integer table"),
+    ], ids=["not-0-1", "ragged", "ragged-object"])
+    def test_make_heyting_refuses_malformed_lattice(self, tmp_path, capsys, table, message):
+        lattice = tmp_path / "bad.json"
+        lattice.write_text(json.dumps(table))
+        out = tmp_path / "h.json"
+        assert main(["algebra", "make", "--kind", "heyting",
+                     "--lattice", str(lattice), "-o", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind,n", [("godel", 9), ("lukasiewicz", 9), ("weighted", 8)])
+    def test_make_obeys_carrier_cap(self, tmp_path, capsys, monkeypatch, kind, n):
+        monkeypatch.setenv("DRL_SOFT_CARRIER_CAP", "8")
+        out = tmp_path / "big.json"
+        assert main(["algebra", "make", "--kind", kind, "--n", str(n), "-o", str(out)]) == 3
+        assert "carrier of size 9 exceeds the cap 8" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_make_heyting_obeys_carrier_cap(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("DRL_SOFT_CARRIER_CAP", "8")
+        lattice = tmp_path / "chain9.json"
+        lattice.write_text(json.dumps([[int(i <= j) for j in range(9)] for i in range(9)]))
+        out = tmp_path / "h.json"
+        assert main(["algebra", "make", "--kind", "heyting",
+                     "--lattice", str(lattice), "-o", str(out)]) == 3
+        assert not out.exists()
+
     def test_check_passes(self, w10_file, capsys):
         assert main(["algebra", "check", str(w10_file)]) == 0
         assert "FAIL" not in capsys.readouterr().out
@@ -67,6 +98,15 @@ class TestAlgebraCommands:
         assert main(["algebra", "check", str(path)]) == 3
         out = capsys.readouterr().out
         assert "FAIL otimes-commutative at (0, 1, 0)" in out
+
+    def test_order_that_is_not_partial_exits_3(self, tmp_path, capsys):
+        obj = json.loads(d.save_algebra(d.godel_chain(3)))
+        obj["leq"][2][0] = 1  # 0 <= 2 and 2 <= 0
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        assert main(["algebra", "classify", str(path)]) == 3
+        assert "leq-antisymmetric" in capsys.readouterr().err
+        assert main(["algebra", "check", str(path)]) == 3
 
     def test_check_profiles(self, tmp_path, capsys):
         path = tmp_path / "luk.json"

@@ -1,10 +1,13 @@
 import json
+import random
 import tracemalloc
 
 import pytest
 
 import drlcsp as d
+from drlcsp import formats
 from drlcsp.cli import main
+from lattice_catalog import distributive_lattices
 
 
 class TestAlgebraRoundTrip:
@@ -44,7 +47,7 @@ class TestAlgebraRoundTrip:
         })
         with pytest.raises(d.AxiomViolation) as info:
             d.load_algebra(bad)
-        assert any(c.axiom == "declared-residuum" for c in info.value.report.checks)
+        assert "residuation" in {c.axiom for c in info.value.report.failures()}
 
     def test_supplied_meet_must_match_derivation(self, boolean_alg):
         obj = json.loads(d.save_algebra(boolean_alg))
@@ -97,6 +100,113 @@ class TestAlgebraRoundTrip:
     def test_invalid_json(self):
         with pytest.raises(d.ParseError):
             d.load_algebra("{nope")
+
+
+def _reference_load(text: str) -> d.FiniteDRL | None:
+    """The derive-and-compare load that the single law check replaced.
+
+    Derives every table from `leq` and `otimes`, requires the declared
+    top and bottom and each supplied table to equal its derivation, then
+    runs the `drl` laws on the derived tables. Returns None on refusal.
+    """
+    obj = json.loads(text)
+    leq = tuple(tuple(map(bool, row)) for row in obj["leq"])
+    otimes = tuple(map(tuple, obj["otimes"]))
+    try:
+        meet, join, top, bottom = d.derive_lattice(leq)
+        residuum = d.residuum_from_tables(leq, join, otimes)
+    except (d.AlgebraError, ValueError):
+        return None
+    derived = {"meet": meet, "join": join, "residuum": residuum}
+    if (obj["top"], obj["bottom"]) != (top, bottom) or any(
+        key in obj and tuple(map(tuple, obj[key])) != table for key, table in derived.items()
+    ):
+        return None
+    algebra = d.FiniteDRL(obj["size"], leq, meet, join, otimes, residuum, top, bottom,
+                          obj["name"])
+    return algebra if d.check_axioms(algebra, "drl").ok else None
+
+
+def _mutate(obj: dict, rng: random.Random) -> None:
+    """Change one table entry, top or bottom, or drop a derivable table."""
+    n = obj["size"]
+    kind = rng.randrange(3)
+    if kind == 0:
+        key = rng.choice(["leq", "meet", "join", "otimes", "residuum"])
+        if key in obj:
+            x, y = rng.randrange(n), rng.randrange(n)
+            old = obj[key][x][y]
+            obj[key][x][y] = 1 - old if key == "leq" else (old + rng.randrange(1, n)) % n
+    elif kind == 1:
+        key = rng.choice(["top", "bottom"])
+        obj[key] = (obj[key] + rng.randrange(1, n)) % n
+    else:
+        obj.pop(rng.choice(["meet", "join", "residuum"]), None)
+
+
+def _load_or_none(text: str) -> d.FiniteDRL | None:
+    try:
+        return d.load_algebra(text)
+    except (d.AlgebraError, ValueError):
+        return None
+
+
+class TestSingleValidator:
+    """A validated load runs the drl laws on the file's own tables."""
+
+    @pytest.fixture(scope="class")
+    def bases(self):
+        b, g3, l3, w4 = d.boolean(), d.godel_chain(3), d.lukasiewicz_chain(3), d.weighted(4)
+        diamond = d.heyting_from_lattice(
+            [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]])
+        algebras = [b, g3, l3, w4, d.godel_chain(5), d.lukasiewicz_chain(4), d.weighted(1),
+                    d.direct_product(b, b), d.direct_product(g3, l3),
+                    d.direct_product(b, diamond), d.direct_product(l3, w4)]
+        algebras += [d.heyting_from_lattice(leq) for _, leq in distributive_lattices(6)]
+        return [a for a in algebras if a.size > 1]
+
+    def test_accepts_what_derive_and_compare_accepts(self, bases):
+        rng = random.Random(5005)
+        accepted = refused = dropped = 0
+        for _ in range(2000):
+            obj = json.loads(d.save_algebra(rng.choice(bases)))
+            for _ in range(rng.randrange(3)):
+                _mutate(obj, rng)
+            text = json.dumps(obj)
+            expected, loaded = _reference_load(text), _load_or_none(text)
+            if expected is None:
+                assert loaded is None, text
+                refused += 1
+            else:
+                assert loaded == expected, text
+                assert d.save_algebra(loaded) == d.save_algebra(expected)
+                accepted += 1
+                dropped += len(obj) < 9
+        assert accepted > 800 and refused > 800 and dropped > 200
+
+    def test_full_file_derives_nothing(self, bases, monkeypatch):
+        def derivation(*args):
+            raise AssertionError("a table was derived on load")
+
+        monkeypatch.setattr(formats, "derive_lattice", derivation)
+        monkeypatch.setattr(formats, "residuum_from_tables", derivation)
+        for a in bases:
+            assert d.load_algebra(d.save_algebra(a)) == a
+        problem = d.gen_random_problem(d.weighted(4), 3, 2, 4, 2, seed=3)
+        assert d.load_problem(d.save_problem(problem)) == problem
+
+    @pytest.mark.parametrize("inline,message", [
+        ({"size": 0}, "'size' must be a positive integer"),
+        ({"size": 2, "top": 1, "bottom": 0, "leq": [[1, 1], [0, 2]]},
+         "'leq' entries must be 0 or 1"),
+    ])
+    def test_inline_algebra_errors_match_file_errors(self, inline, message):
+        with pytest.raises(d.ParseError) as from_file:
+            d.load_algebra(json.dumps(inline))
+        payload = json.dumps({"algebra": inline, "domains": [1], "constraints": []})
+        with pytest.raises(d.ParseError) as inline_error:
+            d.load_problem_raw(payload)
+        assert str(inline_error.value) == str(from_file.value) == message
 
 
 class TestProblemRoundTrip:
