@@ -120,8 +120,10 @@ def _np_view(a: FiniteDRL) -> _Tables:
     n = a.size
     if n < 1:
         raise ValueError("carrier must have at least one element")
-    if not (0 <= a.top < n and 0 <= a.bottom < n):
-        raise ValueError("top/bottom out of range")
+    # A bool would index numpy arrays as a mask and pass every law vacuously.
+    for v in (a.top, a.bottom):
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not 0 <= v < n:
+            raise ValueError("top/bottom out of range")
     for label, table in (
         ("leq", a.leq), ("meet", a.meet), ("join", a.join),
         ("otimes", a.otimes), ("residuum", a.residuum),

@@ -79,37 +79,39 @@ def parse_leq(table, size: int) -> tuple[tuple[bool, ...], ...]:
     return tuple(tuple(map(bool, row)) for row in rows)
 
 
-def load_algebra(text: str, *, validate: bool = True) -> FiniteDRL:
+def load_algebra(source: str | dict, *, validate: bool = True) -> FiniteDRL:
     """Parse an algebra, deriving any absent meet/join/residuum tables.
 
-    Only absent tables are derived: `derive_lattice` when meet or join
-    is missing, `residuum_from_tables` when the residuum is. With
-    validate=True (the default) the result, with the file's own tables
-    and declared top and bottom, must pass the exhaustive `drl` law
-    check, else AxiomViolation is raised. Those laws force each table to
-    be the unique one the order and the product determine. With
-    validate=False the tables are taken as given, which lets
-    `algebra check` report law failures instead of refusing to load.
+    `source` is the JSON text, or the dict that `json.loads` made of it
+    (an inline algebra of a problem file). Only absent tables are
+    derived: `derive_lattice` when meet or join is missing,
+    `residuum_from_tables` when the residuum is. With validate=True (the
+    default) the result, with the file's own tables and declared top and
+    bottom, must pass the exhaustive `drl` law check, else AxiomViolation
+    is raised. Those laws force each table to be the unique one the order
+    and the product determine. With validate=False the tables are taken
+    as given, which lets `algebra check` report law failures instead of
+    refusing to load.
     """
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    return _algebra_from_obj(obj, validate)
-
-
-def _algebra_from_obj(obj, validate: bool) -> FiniteDRL:
+    if isinstance(source, dict):
+        obj = source
+    else:
+        try:
+            obj = json.loads(source)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParseError("algebra payload must be an object")
     size = obj.get("size")
-    if not isinstance(size, int) or size < 1:
+    # Exact type tests refuse JSON booleans, as for the tables.
+    if type(size) is not int or size < 1:
         raise ParseError("'size' must be a positive integer")
     cap = carrier_cap()
     if size > cap:
         raise SizeOverflow(size, cap)
     for key in ("top", "bottom"):
         v = obj.get(key)
-        if not isinstance(v, int) or not 0 <= v < size:
+        if type(v) is not int or not 0 <= v < size:
             raise ParseError(f"{key!r} must be an element id below {size}")
     name = obj.get("name", "")
     if not isinstance(name, str):
@@ -198,7 +200,7 @@ def load_problem_raw(
                 path = Path(base_dir) / path
             algebra = read_algebra(path)
         elif isinstance(ref, dict):
-            algebra = _algebra_from_obj(ref, validate=True)
+            algebra = load_algebra(ref)
         else:
             raise ParseError("'algebra' must be an inline object or a file path")
 

@@ -273,6 +273,17 @@ class TestCheckAxioms:
         with pytest.raises(ValueError, match="'?otimes'? table has entries outside"):
             d.replay_axiom(bad, "drl", "otimes-commutative", (0, 1, 0))
 
+    @pytest.mark.parametrize("field", ["top", "bottom"])
+    def test_boolean_top_or_bottom_rejected(self, field):
+        # As a numpy index False is an empty mask, so the laws on top and
+        # bottom would hold vacuously; 0 is weighted(4)'s top, not its bottom.
+        w = d.weighted(4)
+        bad = dataclasses.replace(w, **{field: False})
+        for call in (lambda: d.check_axioms(bad, "drl"), lambda: d.classify(bad),
+                     lambda: d.replay_axiom(bad, "drl", "top-greatest", (0, 0, 0))):
+            with pytest.raises(ValueError, match="top/bottom out of range"):
+                call()
+
 
 class TestClassify:
     def test_godel_chain(self, godel3):

@@ -128,9 +128,10 @@ def _reference_load(text: str) -> d.FiniteDRL | None:
 
 
 def _mutate(obj: dict, rng: random.Random) -> None:
-    """Change one table entry, top or bottom, or drop a derivable table."""
+    """Change one table entry, top or bottom, drop a derivable table, or
+    write top or bottom as a JSON boolean (rarely)."""
     n = obj["size"]
-    kind = rng.randrange(3)
+    kind = rng.choice([0, 0, 0, 1, 1, 1, 2, 2, 2, 3])
     if kind == 0:
         key = rng.choice(["leq", "meet", "join", "otimes", "residuum"])
         if key in obj:
@@ -140,8 +141,10 @@ def _mutate(obj: dict, rng: random.Random) -> None:
     elif kind == 1:
         key = rng.choice(["top", "bottom"])
         obj[key] = (obj[key] + rng.randrange(1, n)) % n
-    else:
+    elif kind == 2:
         obj.pop(rng.choice(["meet", "join", "residuum"]), None)
+    else:
+        obj[rng.choice(["top", "bottom"])] = rng.choice([False, True])
 
 
 def _load_or_none(text: str) -> d.FiniteDRL | None:
@@ -167,12 +170,18 @@ class TestSingleValidator:
 
     def test_accepts_what_derive_and_compare_accepts(self, bases):
         rng = random.Random(5005)
-        accepted = refused = dropped = 0
+        accepted = refused = dropped = booleans = 0
         for _ in range(2000):
             obj = json.loads(d.save_algebra(rng.choice(bases)))
             for _ in range(rng.randrange(3)):
                 _mutate(obj, rng)
             text = json.dumps(obj)
+            if bool in (type(obj["top"]), type(obj["bottom"])):
+                # The derive-and-compare load took false for 0 and true for 1.
+                with pytest.raises(d.ParseError, match="must be an element id"):
+                    d.load_algebra(text)
+                booleans += 1
+                continue
             expected, loaded = _reference_load(text), _load_or_none(text)
             if expected is None:
                 assert loaded is None, text
@@ -182,7 +191,7 @@ class TestSingleValidator:
                 assert d.save_algebra(loaded) == d.save_algebra(expected)
                 accepted += 1
                 dropped += len(obj) < 9
-        assert accepted > 800 and refused > 800 and dropped > 200
+        assert accepted > 800 and refused > 800 and dropped > 200 and booleans > 50
 
     def test_full_file_derives_nothing(self, bases, monkeypatch):
         def derivation(*args):
@@ -194,6 +203,25 @@ class TestSingleValidator:
             assert d.load_algebra(d.save_algebra(a)) == a
         problem = d.gen_random_problem(d.weighted(4), 3, 2, 4, 2, seed=3)
         assert d.load_problem(d.save_problem(problem)) == problem
+
+    @pytest.mark.parametrize("base,field,message", [
+        (d.boolean(), "top", "'top' must be an element id below 2"),
+        (d.weighted(4), "bottom", "'bottom' must be an element id below 5"),
+        (d.boolean(), "size", "'size' must be a positive integer"),
+    ])
+    def test_boolean_element_id_refused(self, base, field, message):
+        # Each `false` would pass every drl law: as a numpy index it is an
+        # empty mask, so top-greatest and bottom-least hold vacuously.
+        obj = json.loads(d.save_algebra(base))
+        obj[field] = False if field != "size" else True
+        for validate in (True, False):
+            with pytest.raises(d.ParseError) as from_file:
+                d.load_algebra(json.dumps(obj), validate=validate)
+            assert str(from_file.value) == message
+        payload = json.dumps({"algebra": obj, "domains": [1], "constraints": []})
+        with pytest.raises(d.ParseError) as inline_error:
+            d.load_problem_raw(payload)
+        assert str(inline_error.value) == message
 
     @pytest.mark.parametrize("inline,message", [
         ({"size": 0}, "'size' must be a positive integer"),
