@@ -1,22 +1,26 @@
 """Finite divisible residuated lattices as dense operation tables.
 
 Elements are integer ids 0..size-1 and every operation is a full table,
-so all laws can be checked exhaustively and bit-exactly. Constructors
-cover the standard chain families (Goedel, Lukasiewicz, weighted cost
-chains), Heyting algebras over finite distributive lattices, and direct
-products. The residuum table is never taken on trust: it is derived from
-the order and the product as x -> y = the greatest z with x * z <= y,
-taken as the admitted z of highest linear-extension rank, and validated
-against the residuation law at every triple. Law checks visit all
-size**3 points in blocks of max(1, 2**18 // size**2) leading x values,
-so no temporary array exceeds max(2**18, size**2) entries.
+so all laws can be checked exhaustively and bit-exactly. A `FiniteDRL`
+holds its tables as read-only numpy arrays (`leq` bool, the others
+`intp`), checked for shape and range once, when it is built; every
+layer indexes those arrays directly. Constructors cover the standard
+chain families (Goedel, Lukasiewicz, weighted cost chains), Heyting
+algebras over finite distributive lattices, and direct products. The
+residuum table is never taken on trust: it is derived from the order
+and the product as x -> y = the greatest z with x * z <= y, taken as the
+admitted z of highest linear-extension rank, and validated against the
+residuation law at every triple. Law checks visit all size**3 points in
+blocks of max(1, 2**18 // size**2) leading x values, so no temporary
+array exceeds max(2**18, size**2) entries.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -29,14 +33,13 @@ from .errors import (
     SizeOverflow,
 )
 
-Table = tuple[tuple[int, ...], ...]
-BoolTable = tuple[tuple[bool, ...], ...]
-
 DEFAULT_CARRIER_CAP = 4096
 CARRIER_CAP_ENV = "DRL_SOFT_CARRIER_CAP"
 
 # Laws are evaluated on blocks of about this many (x, y, z) points.
 _POINT_BUDGET = 1 << 18
+
+_TABLES = ("leq", "meet", "join", "otimes", "residuum")
 
 
 def carrier_cap() -> int:
@@ -44,25 +47,73 @@ def carrier_cap() -> int:
     return int(raw) if raw else DEFAULT_CARRIER_CAP
 
 
-@dataclass(frozen=True)
+def _element_id(v, n: int) -> int:
+    # A bool would index numpy arrays as a mask and pass every law vacuously.
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not 0 <= v < n:
+        raise ValueError("top/bottom out of range")
+    return int(v)
+
+
+@dataclass(frozen=True, eq=False)
 class FiniteDRL:
     """A finite valuation structure: bounded lattice + residuated monoid.
 
     `leq` is the order relation, `meet`/`join` its lattice operations,
     `otimes` the combination monoid with identity `top` and annihilator
-    `bottom`, and `residuum` the adjoint of `otimes`. The label `name`
-    does not take part in equality.
+    `bottom`, and `residuum` the adjoint of `otimes`. Any nested
+    sequences are accepted; they are stored as read-only n x n arrays,
+    and ValueError is raised unless each is n x n with integer entries
+    in the carrier and `top`/`bottom` are element ids. The laws are not
+    checked here (see `check_axioms`). The label `name` does not take
+    part in equality.
     """
 
     size: int
-    leq: BoolTable
-    meet: Table
-    join: Table
-    otimes: Table
-    residuum: Table
+    leq: np.ndarray
+    meet: np.ndarray
+    join: np.ndarray
+    otimes: np.ndarray
+    residuum: np.ndarray
     top: int
     bottom: int
-    name: str = field(default="", compare=False)
+    name: str = ""
+
+    def __post_init__(self):
+        n = self.size
+        if n < 1:
+            raise ValueError("carrier must have at least one element")
+        for key in ("top", "bottom"):
+            object.__setattr__(self, key, _element_id(getattr(self, key), n))
+        arrays = {}
+        for key in _TABLES:
+            table = getattr(self, key)
+            try:
+                arr = np.asarray(table)  # no dtype: fractions and huge ints must not be cast away
+            except ValueError:  # ragged rows
+                arr = None
+            if arr is None or arr.shape != (n, n):
+                raise ValueError(f"{key} table is not {n}x{n}")
+            arrays[key] = arr
+        for key, arr in arrays.items():
+            if key != "leq" and (arr.dtype.kind not in "biu" or arr.min() < 0 or arr.max() >= n):
+                raise ValueError(f"{key} table has entries outside the carrier")
+            # Copy what the caller could still write to; keep fresh and read-only arrays.
+            copy = arr is getattr(self, key) and arr.flags.writeable
+            arr = arr.astype(bool if key == "leq" else np.intp, copy=copy)
+            arr.flags.writeable = False
+            object.__setattr__(self, key, arr)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FiniteDRL):
+            return NotImplemented
+        if self is other:
+            return True
+        return (self.size, self.top, self.bottom) == (other.size, other.top, other.bottom) and all(
+            np.array_equal(getattr(self, key), getattr(other, key)) for key in _TABLES
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.size, self.top, self.bottom, self.otimes.tobytes()))
 
     def __repr__(self) -> str:
         label = self.name or "anonymous"
@@ -101,64 +152,33 @@ class AxiomReport:
 
 
 # ---------------------------------------------------------------------------
-# numpy views and the exhaustive law checker
+# The exhaustive law checker
 
 
-class _Tables(NamedTuple):
-    n: int
-    L: np.ndarray | None
-    M: np.ndarray | None
-    J: np.ndarray | None
-    O: np.ndarray | None
-    R: np.ndarray | None
-    top: int
-    bottom: int
+def _first_failures(a, laws: Iterable[Callable]) -> Iterator[tuple[int, int, int] | None]:
+    """For each law in turn, the least (x, y, z) falsifying it, or None.
 
-
-def _np_view(a: FiniteDRL) -> _Tables:
-    """Array view of the tables; ValueError unless each is n x n over the carrier."""
-    n = a.size
-    if n < 1:
-        raise ValueError("carrier must have at least one element")
-    # A bool would index numpy arrays as a mask and pass every law vacuously.
-    for v in (a.top, a.bottom):
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not 0 <= v < n:
-            raise ValueError("top/bottom out of range")
-    for label, table in (
-        ("leq", a.leq), ("meet", a.meet), ("join", a.join),
-        ("otimes", a.otimes), ("residuum", a.residuum),
-    ):
-        if len(table) != n or any(len(row) != n for row in table):
-            raise ValueError(f"{label} table is not {n}x{n}")
-    arrs = []
-    for label, table in (
-        ("meet", a.meet), ("join", a.join), ("otimes", a.otimes), ("residuum", a.residuum),
-    ):
-        arr = np.asarray(table)  # no dtype: fractions and huge ints must not be cast away
-        if arr.dtype.kind not in "biu" or arr.min() < 0 or arr.max() >= n:
-            raise ValueError(f"{label} table has entries outside the carrier")
-        arrs.append(arr.astype(np.int64, copy=False))
-    return _Tables(n, np.asarray(a.leq, dtype=bool), *arrs, a.top, a.bottom)
-
-
-def _first_failure(t: _Tables, law: Callable) -> tuple[int, int, int] | None:
-    """Lexicographically least (x, y, z) falsifying `law`, or None.
-
-    `law` must be written with numpy-compatible operations so the same
-    code evaluates pointwise on ints and broadcast on index grids.
+    Witnesses are lexicographically least. `a` is an algebra, or any
+    object with the `size` and the tables and elements that the laws
+    read. A law must be written with numpy-compatible operations so the
+    same code evaluates pointwise on ints and broadcast on index grids.
+    The grids are built once for all the laws.
     """
-    n = t.n
+    n = a.size
     ids = np.arange(n)
     ys, zs = ids[None, :, None], ids[None, None, :]
     block = max(1, _POINT_BUDGET // (n * n))
-    for start in range(0, n, block):
-        xs = ids[start:start + block, None, None]
-        res = np.asarray(law(t, xs, ys, zs))
-        if not res.all():
-            full = np.broadcast_to(res, (len(xs), n, n))
-            x, y, z = np.unravel_index(np.argmin(full), full.shape)  # first False
-            return start + int(x), int(y), int(z)
-    return None
+    for law in laws:
+        witness = None
+        for start in range(0, n, block):
+            xs = ids[start:start + block, None, None]
+            res = np.asarray(law(a, xs, ys, zs))
+            if not res.all():
+                full = np.broadcast_to(res, (len(xs), n, n))
+                x, y, z = np.unravel_index(np.argmin(full), full.shape)  # first False
+                witness = start + int(x), int(y), int(z)
+                break
+        yield witness
 
 
 def _implies(p, q):
@@ -167,109 +187,109 @@ def _implies(p, q):
 
 # Core laws: bounded lattice induced by leq plus the residuated monoid.
 
-def _law_leq_reflexive(t, x, y, z):
-    return t.L[x, x]
+def _law_leq_reflexive(a, x, y, z):
+    return a.leq[x, x]
 
 
-def _law_leq_antisymmetric(t, x, y, z):
-    return _implies(t.L[x, y] & t.L[y, x], x == y)
+def _law_leq_antisymmetric(a, x, y, z):
+    return _implies(a.leq[x, y] & a.leq[y, x], x == y)
 
 
-def _law_leq_transitive(t, x, y, z):
-    return _implies(t.L[x, y] & t.L[y, z], t.L[x, z])
+def _law_leq_transitive(a, x, y, z):
+    return _implies(a.leq[x, y] & a.leq[y, z], a.leq[x, z])
 
 
-def _law_bottom_least(t, x, y, z):
-    return t.L[t.bottom, x]
+def _law_bottom_least(a, x, y, z):
+    return a.leq[a.bottom, x]
 
 
-def _law_top_greatest(t, x, y, z):
-    return t.L[x, t.top]
+def _law_top_greatest(a, x, y, z):
+    return a.leq[x, a.top]
 
 
-def _law_meet_is_glb(t, x, y, z):
-    m = t.M[x, y]
-    lower = t.L[z, x] & t.L[z, y]
-    return t.L[m, x] & t.L[m, y] & _implies(lower, t.L[z, m])
+def _law_meet_is_glb(a, x, y, z):
+    m = a.meet[x, y]
+    lower = a.leq[z, x] & a.leq[z, y]
+    return a.leq[m, x] & a.leq[m, y] & _implies(lower, a.leq[z, m])
 
 
-def _law_join_is_lub(t, x, y, z):
-    j = t.J[x, y]
-    upper = t.L[x, z] & t.L[y, z]
-    return t.L[x, j] & t.L[y, j] & _implies(upper, t.L[j, z])
+def _law_join_is_lub(a, x, y, z):
+    j = a.join[x, y]
+    upper = a.leq[x, z] & a.leq[y, z]
+    return a.leq[x, j] & a.leq[y, j] & _implies(upper, a.leq[j, z])
 
 
-def _law_otimes_commutative(t, x, y, z):
-    return t.O[x, y] == t.O[y, x]
+def _law_otimes_commutative(a, x, y, z):
+    return a.otimes[x, y] == a.otimes[y, x]
 
 
-def _law_otimes_associative(t, x, y, z):
-    return t.O[t.O[x, y], z] == t.O[x, t.O[y, z]]
+def _law_otimes_associative(a, x, y, z):
+    return a.otimes[a.otimes[x, y], z] == a.otimes[x, a.otimes[y, z]]
 
 
-def _law_otimes_identity(t, x, y, z):
-    return t.O[x, t.top] == x
+def _law_otimes_identity(a, x, y, z):
+    return a.otimes[x, a.top] == x
 
 
-def _law_residuation(t, x, y, z):
-    return t.L[t.O[x, z], y] == t.L[z, t.R[x, y]]
+def _law_residuation(a, x, y, z):
+    return a.leq[a.otimes[x, z], y] == a.leq[z, a.residuum[x, y]]
 
 
-def _law_divisibility(t, x, y, z):
-    return t.M[x, y] == t.O[x, t.R[x, y]]
+def _law_divisibility(a, x, y, z):
+    return a.meet[x, y] == a.otimes[x, a.residuum[x, y]]
 
 
 # Derived laws: consequences of the core laws, checked to validate tables
 # (and the checker itself) independently.
 
-def _law_otimes_annihilator(t, x, y, z):
-    return t.O[x, t.bottom] == t.bottom
+def _law_otimes_annihilator(a, x, y, z):
+    return a.otimes[x, a.bottom] == a.bottom
 
 
-def _law_otimes_monotone(t, x, y, z):
-    return _implies(t.L[x, y], t.L[t.O[x, z], t.O[y, z]])
+def _law_otimes_monotone(a, x, y, z):
+    return _implies(a.leq[x, y], a.leq[a.otimes[x, z], a.otimes[y, z]])
 
 
-def _law_residuum_characterizes_order(t, x, y, z):
-    return t.L[x, y] == (t.R[x, y] == t.top)
+def _law_residuum_characterizes_order(a, x, y, z):
+    return a.leq[x, y] == (a.residuum[x, y] == a.top)
 
 
-def _law_residuum_restores(t, x, y, z):
-    return _implies(t.L[y, x], t.O[x, t.R[x, y]] == y)
+def _law_residuum_restores(a, x, y, z):
+    return _implies(a.leq[y, x], a.otimes[x, a.residuum[x, y]] == y)
 
 
-def _law_residuum_exchange(t, x, y, z):
-    return _implies(t.L[y, z], t.O[t.O[x, z], t.R[z, y]] == t.O[x, y])
+def _law_residuum_exchange(a, x, y, z):
+    return _implies(a.leq[y, z], a.otimes[a.otimes[x, z], a.residuum[z, y]] == a.otimes[x, y])
 
 
-def _law_otimes_distributes_join(t, x, y, z):
-    return t.O[x, t.J[y, z]] == t.J[t.O[x, y], t.O[x, z]]
+def _law_otimes_distributes_join(a, x, y, z):
+    return a.otimes[x, a.join[y, z]] == a.join[a.otimes[x, y], a.otimes[x, z]]
 
 
 # Semiring laws on the (join, otimes, top, bottom) reduct.
 
-def _law_join_commutative(t, x, y, z):
-    return t.J[x, y] == t.J[y, x]
+def _law_join_commutative(a, x, y, z):
+    return a.join[x, y] == a.join[y, x]
 
 
-def _law_join_associative(t, x, y, z):
-    return t.J[t.J[x, y], z] == t.J[x, t.J[y, z]]
+def _law_join_associative(a, x, y, z):
+    return a.join[a.join[x, y], z] == a.join[x, a.join[y, z]]
 
 
-def _law_join_idempotent(t, x, y, z):
-    return t.J[x, x] == x
+def _law_join_idempotent(a, x, y, z):
+    return a.join[x, x] == x
 
 
-def _law_join_identity_bottom(t, x, y, z):
-    return t.J[x, t.bottom] == x
+def _law_join_identity_bottom(a, x, y, z):
+    return a.join[x, a.bottom] == x
 
 
-def _law_join_absorbs_top(t, x, y, z):
-    return t.J[x, t.top] == t.top
+def _law_join_absorbs_top(a, x, y, z):
+    return a.join[x, a.top] == a.top
 
 
-def _law_otimes_idempotent(t, x, y, z):
-    return t.O[x, x] == x
+def _law_otimes_idempotent(a, x, y, z):
+    return a.otimes[x, x] == x
 
 
 _DRL_LAWS: tuple[tuple[str, Callable], ...] = (
@@ -329,20 +349,18 @@ def check_axioms(algebra: FiniteDRL, profile: str = "drl") -> AxiomReport:
     """
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}")
-    t = _np_view(algebra)
-    checks = []
-    for axiom, law in PROFILES[profile]:
-        witness = _first_failure(t, law)
-        checks.append(AxiomCheck(axiom, witness is None, witness))
-    return AxiomReport(profile, tuple(checks))
+    laws = PROFILES[profile]
+    witnesses = _first_failures(algebra, [law for _, law in laws])
+    return AxiomReport(profile, tuple(
+        AxiomCheck(axiom, witness is None, witness) for (axiom, _), witness in zip(laws, witnesses)
+    ))
 
 
 def replay_axiom(algebra: FiniteDRL, profile: str, axiom: str, triple: tuple[int, int, int]) -> bool:
     """Re-evaluate a single law at one point; used to confirm counterexamples."""
     laws = dict(PROFILES[profile])
-    t = _np_view(algebra)
     x, y, z = triple
-    return bool(np.asarray(laws[axiom](t, x, y, z)))
+    return bool(np.asarray(laws[axiom](algebra, x, y, z)))
 
 
 # ---------------------------------------------------------------------------
@@ -384,39 +402,44 @@ def _rank(L: np.ndarray) -> np.ndarray:
     return rank
 
 
-def derive_lattice(leq) -> tuple[Table, Table, int, int]:
+def derive_lattice(leq) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Compute (meet, join, top, bottom) induced by a partial order.
 
     The order must be bounded and every pair must have a greatest lower
     and least upper bound; otherwise NotBounded / NotALattice is raised.
+    x meet y is taken as the common lower bound of highest
+    linear-extension rank. Everything below it is a common lower bound,
+    so it is the greatest one exactly when x and y have no more common
+    lower bounds than it has elements below it. Joins are found dually.
     """
     L = _as_bool_matrix(leq)
     _require_partial_order(L)
     top, bottom = _bounds(L)
     n = L.shape[0]
 
-    rank = _rank(L)
-    meet = np.empty((n, n), dtype=np.int64)
-    join = np.empty((n, n), dtype=np.int64)
+    desc = np.argsort(-_rank(L))
+    asc = desc[::-1]
+    # C order, so that each argmax along a row stops at the row's first True.
+    down = np.ascontiguousarray(L.T[:, desc])  # down[y, k]: desc[k] <= y
+    up = np.ascontiguousarray(L[:, asc])  # up[y, k]: y <= asc[k]
+    meet = np.empty((n, n), dtype=np.intp)
+    join = np.empty((n, n), dtype=np.intp)
     for x in range(n):
-        cand = L[:, x][:, None] & L  # cand[z, y]: z below both x and y
-        zstar = np.where(cand, rank[:, None], -1).argmax(axis=0)
-        bad = (cand & ~L[:, zstar]).any(axis=0)
-        if bad.any():
-            raise NotALattice((x, int(np.argmax(bad))))
-        meet[x] = zstar
+        meet[x] = desc[(down & down[x]).argmax(axis=1)]  # first common lower bound by rank
+        join[x] = asc[(up & up[x]).argmax(axis=1)]
 
-        cand = L[x][:, None] & L.T  # cand[z, y]: z above both x and y
-        zstar = np.where(cand, rank[:, None], n + 1).argmin(axis=0)
-        bad = (cand & ~L[zstar].T).any(axis=0)
-        if bad.any():
-            raise NotALattice((x, int(np.argmax(bad))))
-        join[x] = zstar
-
-    return _to_table(meet), _to_table(join), top, bottom
+    F = L.astype(np.float32)  # counts below 2**24 are exact
+    bad_meet = F.T @ F != L.sum(axis=0)[meet]
+    bad_join = F @ F.T != L.sum(axis=1)[join]
+    bad = bad_meet.any(axis=1) | bad_join.any(axis=1)
+    if bad.any():
+        x = int(np.argmax(bad))
+        row = bad_meet[x] if bad_meet[x].any() else bad_join[x]
+        raise NotALattice((x, int(np.argmax(row))))
+    return meet, join, top, bottom
 
 
-def residuum_from_tables(leq, join, otimes) -> Table:
+def residuum_from_tables(leq, join, otimes) -> np.ndarray:
     """Derive the residuum as the greatest admitted element and validate it.
 
     x -> y is the rank-maximal z with x * z <= y; `join` is not needed.
@@ -425,7 +448,7 @@ def residuum_from_tables(leq, join, otimes) -> Table:
     lattice with a monotone product distributing over joins.
     """
     L = _as_bool_matrix(leq)
-    O = np.asarray(otimes, dtype=np.int64)
+    O = np.asarray(otimes, dtype=np.intp)
     if L.all(axis=1).sum() != 1:
         raise NotBounded()
 
@@ -438,11 +461,7 @@ def residuum_from_tables(leq, join, otimes) -> Table:
         if neq.any():
             y, z = np.argwhere(neq)[0]
             raise ResiduationFails((x, int(y), int(z)))
-    return _to_table(R)
-
-
-def _to_table(arr: np.ndarray) -> Table | BoolTable:
-    return tuple(map(tuple, arr.tolist()))
+    return R
 
 
 # ---------------------------------------------------------------------------
@@ -456,13 +475,13 @@ def classify(algebra: FiniteDRL) -> VarietyFlags:
     idempotent), MV (prelinear and involutive), Heyting (idempotent),
     BL (prelinear), or GBL.
     """
-    t = _np_view(algebra)
-    ids = np.arange(t.n)
-    prelinear = bool((t.J[t.R, t.R.T] == t.top).all())
-    idempotent = bool((t.O[ids, ids] == ids).all())
-    neg = t.R[:, t.bottom]
+    ids = np.arange(algebra.size)
+    R = algebra.residuum
+    prelinear = bool((algebra.join[R, R.T] == algebra.top).all())
+    idempotent = bool((algebra.otimes[ids, ids] == ids).all())
+    neg = R[:, algebra.bottom]
     involutive = bool((neg[neg] == ids).all())
-    chain = bool((t.L | t.L.T).all())
+    chain = bool((algebra.leq | algebra.leq.T).all())
     if involutive and idempotent:
         name = "Boolean"
     elif prelinear and idempotent:
@@ -482,44 +501,44 @@ def classify(algebra: FiniteDRL) -> VarietyFlags:
 # Builtin families
 
 
-def _require_within_cap(size: int, cap: int | None = None) -> None:
-    limit = carrier_cap() if cap is None else cap
-    if size > limit:
-        raise SizeOverflow(size, limit)
+def _require_within_cap(size: int) -> None:
+    cap = carrier_cap()
+    if size > cap:
+        raise SizeOverflow(size, cap)
 
 
-def _chain_tables(n: int) -> tuple[BoolTable, Table, Table]:
-    leq = tuple(tuple(i <= j for j in range(n)) for i in range(n))
-    meet = tuple(tuple(min(i, j) for j in range(n)) for i in range(n))
-    join = tuple(tuple(max(i, j) for j in range(n)) for i in range(n))
-    return leq, meet, join
+def _chain_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    ids = np.arange(n)
+    return np.less_equal.outer(ids, ids), np.minimum.outer(ids, ids), np.maximum.outer(ids, ids)
 
 
-def _build_chain(n: int, product: Callable[[int, int], int], name: str) -> FiniteDRL:
+def _build_chain(n: int, product: Callable, name: str) -> FiniteDRL:
+    """Chain 0 < 1 < ... < n-1; `product` maps two index grids to the otimes table."""
     _require_within_cap(n)
     leq, meet, join = _chain_tables(n)
-    otimes = tuple(tuple(product(i, j) for j in range(n)) for i in range(n))
+    ids = np.arange(n)
+    otimes = product(ids[:, None], ids[None, :])
     residuum = residuum_from_tables(leq, join, otimes)
     return FiniteDRL(n, leq, meet, join, otimes, residuum, n - 1, 0, name)
 
 
 def boolean() -> FiniteDRL:
     """The two-element algebra with product = meet."""
-    return _build_chain(2, min, "boolean")
+    return _build_chain(2, np.minimum, "boolean")
 
 
 def godel_chain(n: int) -> FiniteDRL:
     """Ascending n-chain with product = min; ids 0 (bottom) .. n-1 (top)."""
     if n < 2:
         raise ValueError("chain needs at least 2 elements")
-    return _build_chain(n, min, f"godel({n})")
+    return _build_chain(n, np.minimum, f"godel({n})")
 
 
 def lukasiewicz_chain(n: int) -> FiniteDRL:
     """Ascending n-chain with the truncated-addition product max(0, i+j-(n-1))."""
     if n < 2:
         raise ValueError("chain needs at least 2 elements")
-    return _build_chain(n, lambda i, j: max(0, i + j - (n - 1)), f"lukasiewicz({n})")
+    return _build_chain(n, lambda i, j: np.maximum(0, i + j - (n - 1)), f"lukasiewicz({n})")
 
 
 def weighted(n: int) -> FiniteDRL:
@@ -533,10 +552,11 @@ def weighted(n: int) -> FiniteDRL:
         raise ValueError("cost bound must be at least 1")
     size = n + 1
     _require_within_cap(size)
-    leq = tuple(tuple(i >= j for j in range(size)) for i in range(size))
-    meet = tuple(tuple(max(i, j) for j in range(size)) for i in range(size))
-    join = tuple(tuple(min(i, j) for j in range(size)) for i in range(size))
-    otimes = tuple(tuple(min(n, i + j) for j in range(size)) for i in range(size))
+    ids = np.arange(size)
+    leq = np.greater_equal.outer(ids, ids)
+    meet = np.maximum.outer(ids, ids)
+    join = np.minimum.outer(ids, ids)
+    otimes = np.minimum(n, np.add.outer(ids, ids))
     residuum = residuum_from_tables(leq, join, otimes)
     return FiniteDRL(size, leq, meet, join, otimes, residuum, 0, n, f"weighted({n})")
 
@@ -548,35 +568,29 @@ def heyting_from_lattice(leq, name: str = "") -> FiniteDRL:
     a lattice but fails distributivity (a residuum cannot exist then).
     """
     _require_within_cap(len(leq))
-    meet, join, top, bottom = derive_lattice(leq)
-    n = len(meet)
-    M = np.asarray(meet, dtype=np.int64)
-    J = np.asarray(join, dtype=np.int64)
-    t = _Tables(n=n, L=None, M=M, J=J, O=M, R=None, top=top, bottom=bottom)
-    witness = _first_failure(t, _law_otimes_distributes_join)
+    L = _as_bool_matrix(leq)
+    meet, join, top, bottom = derive_lattice(L)
+    n = len(L)
+    semiring = SimpleNamespace(size=n, join=join, otimes=meet)
+    witness = next(_first_failures(semiring, [_law_otimes_distributes_join]))
     if witness is not None:
         raise NotDistributive(witness)
-    L = _to_table(_as_bool_matrix(leq))
     residuum = residuum_from_tables(L, join, meet)
     return FiniteDRL(n, L, meet, join, meet, residuum, top, bottom, name or f"heyting({n})")
 
 
-def direct_product(a: FiniteDRL, b: FiniteDRL, cap: int | None = None) -> FiniteDRL:
+def direct_product(a: FiniteDRL, b: FiniteDRL) -> FiniteDRL:
     """Componentwise product; the pair (x, y) gets id x * |b| + y."""
     size = a.size * b.size
-    _require_within_cap(size, cap)
-    na, nb = a.size, b.size
+    _require_within_cap(size)
+    nb = b.size
 
-    def combine(ta, tb):
-        A = np.asarray(ta, dtype=np.int64)
-        B = np.asarray(tb, dtype=np.int64)
-        out = (A[:, None, :, None] * nb + B[None, :, None, :]).reshape(size, size)
-        return _to_table(out)
+    def combine(A, B):
+        return (A[:, None, :, None] * nb + B[None, :, None, :]).reshape(size, size)
 
-    leq = _to_table(np.kron(np.asarray(a.leq, dtype=bool), np.asarray(b.leq, dtype=bool)))
     return FiniteDRL(
         size=size,
-        leq=leq,
+        leq=np.kron(a.leq, b.leq),
         meet=combine(a.meet, b.meet),
         join=combine(a.join, b.join),
         otimes=combine(a.otimes, b.otimes),
@@ -592,26 +606,26 @@ def expand_cis(join, otimes, top: int, bottom: int, name: str = "") -> FiniteDRL
 
     The semiring laws are checked first (NotACIS on failure); the meet is
     the semiring product and the residuum comes from the adjunction
-    formula.
+    formula. ValueError is raised, before any law runs, unless the
+    tables are square and equally sized and `top`/`bottom` are element
+    ids.
     """
-    J = np.asarray(join, dtype=np.int64)
-    O = np.asarray(otimes, dtype=np.int64)
+    J = np.asarray(join, dtype=np.intp)
+    O = np.asarray(otimes, dtype=np.intp)
     if J.ndim != 2 or J.shape != O.shape or J.shape[0] != J.shape[1]:
         raise ValueError("join/otimes tables must be square and equally sized")
     n = J.shape[0]
-    if not (0 <= top < n and 0 <= bottom < n):
-        raise ValueError("top/bottom out of range")
-    t = _Tables(n=n, L=None, M=None, J=J, O=O, R=None, top=top, bottom=bottom)
-    for axiom, law in _CIS_LAWS:
-        witness = _first_failure(t, law)
+    semiring = SimpleNamespace(
+        size=n, join=J, otimes=O, top=_element_id(top, n), bottom=_element_id(bottom, n)
+    )
+    witnesses = _first_failures(semiring, [law for _, law in _CIS_LAWS])
+    for (axiom, _), witness in zip(_CIS_LAWS, witnesses):
         if witness is not None:
             raise NotACIS(axiom, witness)
 
-    leq = _to_table(J == np.arange(n))  # x <= y iff x v y = y
-    meet = _to_table(O)
-    join_t = _to_table(J)
-    residuum = residuum_from_tables(leq, join_t, meet)
-    return FiniteDRL(n, leq, meet, join_t, meet, residuum, top, bottom, name or f"cis({n})")
+    leq = J == np.arange(n)  # x <= y iff x v y = y
+    residuum = residuum_from_tables(leq, J, O)
+    return FiniteDRL(n, leq, O, J, O, residuum, top, bottom, name or f"cis({n})")
 
 
 _BUILTIN_KINDS = ("boolean", "godel", "lukasiewicz", "weighted", "heyting", "product")
@@ -636,7 +650,7 @@ def make_builtin(kind: str, **params) -> FiniteDRL:
         left, right = params.get("left"), params.get("right")
         if left is None or right is None:
             raise ValueError("product needs left=<algebra> and right=<algebra>")
-        return direct_product(left, right, cap=params.get("cap"))
+        return direct_product(left, right)
     raise ValueError(f"unknown builtin kind {kind!r}; expected one of {_BUILTIN_KINDS}")
 
 

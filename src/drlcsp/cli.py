@@ -13,7 +13,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .algebra import check_axioms, classify, direct_product, make_builtin
+from .algebra import check_axioms, classify, make_builtin
 from .enforce import enforce_k_hyperarc, parse_strategy
 from .errors import AlgebraError, FormatError, ParseError
 from .formats import (
@@ -49,7 +49,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_make.add_argument("--kind", required=True,
                         choices=["boolean", "godel", "lukasiewicz", "weighted", "heyting", "product"])
     p_make.add_argument("--n", type=int, help="chain length or cost bound")
-    p_make.add_argument("--cap", type=int, help="carrier cap override for products")
     p_make.add_argument("--lattice", help="JSON file with the order table for heyting")
     p_make.add_argument("--left", help="left factor algebra file for product")
     p_make.add_argument("--right", help="right factor algebra file for product")
@@ -115,7 +114,7 @@ def _cmd_algebra_make(args) -> int:
     if args.kind == "product":
         if not args.left or not args.right:
             raise ParseError("product needs --left and --right")
-        made = direct_product(read_algebra(args.left), read_algebra(args.right), cap=args.cap)
+        made = make_builtin("product", left=read_algebra(args.left), right=read_algebra(args.right))
     elif args.kind == "heyting":
         if not args.lattice:
             raise ParseError("heyting needs --lattice")

@@ -9,6 +9,13 @@ and each of those table entries v is replaced by the residuum x -> v.
 The run aborts as inconsistent as soon as every unary value of the
 visited variable is bottom.
 
+`project` works on a row view of the table (`model.rows`): one row per
+domain value of the variable, holding the entries compatible with it in
+canonical tuple order. It chooses x for all live values (unary value
+not bottom) at once and updates the rows with one residuum gather. The
+maximal candidates of each row come from the strict order among the
+distinct candidates, tested against a presence mask per row.
+
 The worklist form of the algorithm re-queues a variable after one of
 its unary values drops to bottom. Over a divisible residuated lattice
 that second visit changes nothing, so one sweep reaches the same
@@ -44,8 +51,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .model import Problem, Scope, fiber
-from .oracle import maximal_elements
+import numpy as np
+
+from .model import Problem, Scope, rows, scope_sizes
 from .rng import SplitMix64
 
 _STRATEGY_KINDS = ("maximal-lex", "maximal-seeded", "join")
@@ -105,21 +113,6 @@ class EnforcementOutcome:
     counters: Counters = field(default_factory=Counters)
 
 
-def _select(algebra, candidates: list[int], strategy: Strategy, rng: SplitMix64 | None) -> int:
-    if strategy.kind == "join":
-        join = algebra.join
-        acc = candidates[0]
-        for v in candidates[1:]:
-            acc = join[acc][v]
-        return acc
-    maximals = maximal_elements(algebra, candidates)
-    if strategy.kind == "maximal-lex":
-        chosen = set(maximals)
-        return next(v for v in candidates if v in chosen)
-    assert rng is not None
-    return maximals[rng.below(len(maximals))]
-
-
 def project(
     problem: Problem,
     scope: Scope,
@@ -146,29 +139,46 @@ def project(
         rng = SplitMix64(strategy.seed)
 
     alg = problem.algebra
-    bottom = alg.bottom
-    otimes = alg.otimes
-    residuum = alg.residuum
-    offsets, stride = fiber(scope, problem.domain_sizes, scope.index(var))
+    unary_c = problem.unary(var)
+    table = np.array(constraint.values)
+    unary = np.array(unary_c.values)
+    live = unary != alg.bottom
+    sizes = scope_sizes(scope, problem.domain_sizes)
+    index = rows(np.arange(table.size), sizes, scope.index(var))[live]
+    cand = table[index]  # cand[r, t]: entry of tuple t at the r-th live value
 
-    table = constraint.values
-    unary = problem.unary(var).values
-    shrank = False
-    for a in range(problem.domain_sizes[var]):
-        if unary[a] == bottom:
-            continue
-        indices = [off + a * stride for off in offsets]
-        candidates = [table[i] for i in indices]
-        x = _select(alg, candidates, strategy, rng)
-        unary[a] = otimes[unary[a]][x]
-        if unary[a] == bottom:
-            shrank = True
-        imp_x = residuum[x]
-        for i in indices:
-            table[i] = imp_x[table[i]]
-        if counters is not None:
-            counters.inner_tuple_iterations += 2 * len(indices)
-    return shrank
+    if strategy.kind == "join":
+        acc = cand
+        while acc.shape[1] > 1:
+            # For an odd width the halves share the middle column; join is idempotent.
+            half = (acc.shape[1] + 1) // 2
+            acc = alg.join[acc[:, :half], acc[:, -half:]]
+        x = acc[:, 0]
+    else:
+        seen = np.zeros(alg.size, dtype=bool)
+        seen[cand] = True
+        vals = np.flatnonzero(seen)  # the distinct candidates, ascending
+        inv = np.searchsorted(vals, cand)  # cand == vals[inv]
+        leq = alg.leq[vals[:, None], vals]
+        r = np.arange(len(cand))[:, None]
+        present = np.zeros((len(cand), len(vals)), dtype=bool)
+        present[r, inv] = True
+        maximal = present & ~(present @ (leq & ~leq.T).T)  # [r, i]: vals[i] is maximal in row r
+        if strategy.kind == "maximal-lex":
+            x = cand[r[:, 0], maximal[r, inv].argmax(axis=1)]  # first maximal in tuple order
+        else:
+            # One draw per live value, in value order, over its ascending maximal values.
+            maxima = [vals[row] for row in maximal]
+            x = np.array([m[rng.below(len(m))] for m in maxima], dtype=np.intp)
+
+    lowered = alg.otimes[unary[live], x]
+    unary[live] = lowered
+    table[index] = alg.residuum[x[:, None], cand]
+    constraint.values[:] = table.tolist()
+    unary_c.values[:] = unary.tolist()
+    if counters is not None:
+        counters.inner_tuple_iterations += 2 * cand.size
+    return alg.bottom in lowered.tolist()
 
 
 def enforce_k_hyperarc(

@@ -11,6 +11,8 @@ import json
 from math import comb
 from pathlib import Path
 
+import numpy as np
+
 from .algebra import (
     FiniteDRL,
     carrier_cap,
@@ -50,16 +52,16 @@ def save_algebra(algebra: FiniteDRL) -> str:
         "size": algebra.size,
         "top": algebra.top,
         "bottom": algebra.bottom,
-        "leq": [[1 if v else 0 for v in row] for row in algebra.leq],
-        "meet": [list(row) for row in algebra.meet],
-        "join": [list(row) for row in algebra.join],
-        "otimes": [list(row) for row in algebra.otimes],
-        "residuum": [list(row) for row in algebra.residuum],
+        "leq": algebra.leq.astype(np.uint8).tolist(),
+        "meet": algebra.meet.tolist(),
+        "join": algebra.join.tolist(),
+        "otimes": algebra.otimes.tolist(),
+        "residuum": algebra.residuum.tolist(),
     }
     return _canonical(payload)
 
 
-def _int_table(table, key: str, size: int) -> tuple[tuple[int, ...], ...]:
+def _int_table(table, key: str, size: int) -> list[list[int]]:
     if (
         not isinstance(table, list)
         or len(table) != size
@@ -68,15 +70,15 @@ def _int_table(table, key: str, size: int) -> tuple[tuple[int, ...], ...]:
         or set(map(type, itertools.chain.from_iterable(table))) != {int}
     ):
         raise ParseError(f"{key!r} must be a {size}x{size} integer table")
-    return tuple(map(tuple, table))
+    return table
 
 
-def parse_leq(table, size: int) -> tuple[tuple[bool, ...], ...]:
-    """Check a parsed `leq` table: size x size, entries 0 or 1."""
+def parse_leq(table, size: int) -> np.ndarray:
+    """Check a parsed `leq` table (size x size, entries 0 or 1); return it as bools."""
     rows = _int_table(table, "leq", size)
     if not {0, 1}.issuperset(itertools.chain.from_iterable(rows)):
         raise ParseError("'leq' entries must be 0 or 1")
-    return tuple(tuple(map(bool, row)) for row in rows)
+    return np.array(rows, dtype=bool)
 
 
 def load_algebra(source: str | dict, *, validate: bool = True) -> FiniteDRL:

@@ -1,10 +1,11 @@
 """Soft CSP instances over a finite valuation algebra.
 
-A problem holds one dense value table per constraint scope. Tables are
-indexed in row-major order: the last variable of the (sorted) scope
-varies fastest. Raw inputs may repeat scopes; `normalize` merges them,
-fills in missing unary constraints, and drops domain values whose unary
-value is bottom.
+A problem holds one dense value table per constraint scope, as a
+Python list of ints. Tables are indexed in row-major order: the last
+variable of the (sorted) scope varies fastest, and `rows` views a table
+as one row per value of one of its variables. Raw inputs may repeat
+scopes; `normalize` merges them, fills in missing unary constraints,
+and drops domain values whose unary value is bottom.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import prod
 from typing import Iterator
+
+import numpy as np
 
 from .algebra import FiniteDRL
 
@@ -87,26 +90,17 @@ def table_len(scope: Scope, domain_sizes: tuple[int, ...]) -> int:
     return prod(scope_sizes(scope, domain_sizes))
 
 
-def fiber(scope: Scope, domain_sizes: tuple[int, ...], pos: int) -> tuple[list[int], int]:
-    """Row-major layout of the fibers of coordinate `pos` of a scope's table.
+def rows(table: np.ndarray, sizes: tuple[int, ...], pos: int) -> np.ndarray:
+    """A flat row-major table as one row per value of coordinate `pos`.
 
-    Returns (offsets, stride): the assignments fixing coordinate `pos` to
-    value a sit at indices `off + a * stride` for `off` in offsets. The
-    offsets follow the canonical order of the assignments to the other
-    coordinates, and `stride` is the product of the sizes after `pos`,
-    so consecutive runs of `stride` offsets share the coordinates before
-    `pos`.
+    `sizes` are the scope's domain sizes. The table is reshaped to them
+    and axis `pos` is moved to the front, so row a holds the entries
+    whose coordinate `pos` is a, in the canonical order of the other
+    coordinates. The result may be a copy; to write through it, take the
+    rows of `np.arange(len(table))` as indices.
     """
-    offsets = [0]
-    acc = 1
-    for j in range(len(scope) - 1, -1, -1):
-        size = domain_sizes[scope[j]]
-        if j == pos:
-            stride = acc
-        else:
-            offsets = [v * acc + off for v in range(size) for off in offsets]
-        acc *= size
-    return offsets, stride
+    order = (pos, *range(pos), *range(pos + 1, len(sizes)))
+    return table.reshape(sizes).transpose(order).reshape(sizes[pos], -1)
 
 
 # ---------------------------------------------------------------------------
@@ -123,15 +117,10 @@ def normalize(problem: RawProblem) -> Problem | None:
     empties, which makes the instance unsatisfiable outright.
     """
     alg = problem.algebra
-    otimes = alg.otimes
     merged: dict[Scope, list[int]] = {}
     for c in problem.constraints:
         prior = merged.get(c.scope)
-        if prior is None:
-            merged[c.scope] = list(c.values)
-        else:
-            for i, v in enumerate(c.values):
-                prior[i] = otimes[prior[i]][v]
+        merged[c.scope] = list(c.values) if prior is None else alg.otimes[prior, c.values].tolist()
 
     sizes = problem.domain_sizes
     for var, size in enumerate(sizes):
@@ -144,25 +133,13 @@ def normalize(problem: RawProblem) -> Problem | None:
     if any(not k for k in keep):
         return None
 
-    if all(len(k) == s for k, s in zip(keep, sizes)):
-        constraints = {scope: Constraint(scope, vals) for scope, vals in merged.items()}
-        return Problem(alg, sizes, constraints)
-
     new_sizes = tuple(len(k) for k in keep)
+    shrunk = {var for var, size in enumerate(sizes) if new_sizes[var] != size}
     constraints = {}
     for scope, vals in merged.items():
-        for pos, var in enumerate(scope):
-            kept = keep[var]
-            if len(kept) == sizes[var]:
-                continue
-            # Scopes are sorted, so the coordinates before `pos` are restricted already.
-            offsets, stride = fiber(scope, new_sizes[:var] + sizes[var:], pos)
-            vals = [
-                vals[off + a * stride]
-                for start in range(0, len(offsets), stride)
-                for a in kept
-                for off in offsets[start:start + stride]
-            ]
+        if not shrunk.isdisjoint(scope):
+            table = np.reshape(vals, scope_sizes(scope, sizes))
+            vals = table[np.ix_(*(keep[v] for v in scope))].ravel().tolist()
         constraints[scope] = Constraint(scope, vals)
     return Problem(alg, new_sizes, constraints)
 
@@ -191,8 +168,8 @@ def combined_value(problem: Problem | RawProblem, assignment: Assignment) -> int
         index = 0
         for var in c.scope:
             index = index * sizes[var] + assignment[var]
-        acc = otimes[acc][c.values[index]]
-    return acc
+        acc = otimes[acc, c.values[index]]
+    return int(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -211,19 +188,16 @@ def is_k_hyperarc_consistent(problem: Problem, k: int) -> Violation | None:
     if k < 2:
         raise ValueError("k must be at least 2")
     alg = problem.algebra
-    otimes = alg.otimes
+    unary = [np.array(problem.unary(var).values)[:, None] for var in range(problem.n)]
+    dead = [u[:, 0] == alg.bottom for u in unary]
     for scope in sorted(problem.constraints):
         if not 2 <= len(scope) <= k:
             continue
-        table = problem.constraints[scope].values
+        table = np.array(problem.constraints[scope].values)
+        sizes = scope_sizes(scope, problem.domain_sizes)
         for pos, var in enumerate(scope):
-            unary = problem.unary(var).values
-            offsets, stride = fiber(scope, problem.domain_sizes, pos)
-            for a in range(problem.domain_sizes[var]):
-                ua = unary[a]
-                if ua == alg.bottom:
-                    continue
-                base = a * stride
-                if not any(otimes[ua][table[off + base]] == ua for off in offsets):
-                    return Violation(scope, var, a)
+            u = unary[var]
+            witnessed = (alg.otimes[u, rows(table, sizes, pos)] == u).any(axis=1) | dead[var]
+            if not witnessed.all():
+                return Violation(scope, var, int(witnessed.argmin()))
     return None

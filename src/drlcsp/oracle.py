@@ -10,9 +10,9 @@ combined in with `acc = otimes[acc, table]`, in `iter_constraints`
 order. The values of the assignments come out in canonical row-major
 order, in chunks of at most `_CHUNK` assignments: the leading variables
 are enumerated in Python, so memory stays bounded whatever the size of
-the problem. Values are stored in the smallest unsigned integer type
-that holds the carrier. Before any of that, the number of assignments is
-checked against a cap, which raises TooLarge.
+the problem. The fold indexes the algebra's own `intp` table, so tables
+and values are `intp` arrays. Before any of that, the number of
+assignments is checked against a cap, which raises TooLarge.
 """
 
 from __future__ import annotations
@@ -56,8 +56,9 @@ def maximal_elements(algebra: FiniteDRL, values: Iterable[int]) -> list[int]:
     vs = sorted(set(values))
     if not vs:
         raise ValueError("maximal_elements needs a nonempty input")
-    leq = algebra.leq
-    return [m for m in vs if not any(v != m and leq[m][v] for v in vs)]
+    v = np.array(vs)
+    below = algebra.leq[v[:, None], v] & (v[:, None] != v)  # [i, j]: vs[i] < vs[j]
+    return v[~below.any(axis=1)].tolist()
 
 
 def iter_full_assignments(domain_sizes: tuple[int, ...]) -> Iterator[Assignment]:
@@ -79,8 +80,6 @@ def _value_chunks(problem: Problem | RawProblem) -> Iterator[np.ndarray]:
     of at most `_CHUNK` assignments.
     """
     alg = problem.algebra
-    dtype = np.min_scalar_type(alg.size - 1)
-    otimes = np.array(alg.otimes, dtype=dtype)
     # A problem without variables has one assignment, the empty tuple.
     sizes = problem.domain_sizes or (1,)
     n = len(sizes)
@@ -96,17 +95,17 @@ def _value_chunks(problem: Problem | RawProblem) -> Iterator[np.ndarray]:
         lead = tuple(v for v in c.scope if v < cut)
         shape = [sizes[v] for v in lead]
         shape += [sizes[v] if v in c.scope else 1 for v in range(cut, n)]
-        table = np.array(c.values, dtype=dtype).reshape(shape)
+        table = np.array(c.values, dtype=np.intp).reshape(shape)
         tables.append((table, lead, cut in c.scope))
 
     for fixed in itertools.product(*(range(size) for size in sizes[:cut])):
         for lo in range(0, sizes[cut], block):
             hi = min(lo + block, sizes[cut])
-            acc = np.full((hi - lo, *sizes[cut + 1:]), alg.top, dtype=dtype)
+            acc = np.full((hi - lo, *sizes[cut + 1:]), alg.top, dtype=np.intp)
             for table, lead, spans_cut in tables:
                 index = tuple(fixed[v] for v in lead)
                 index += (slice(lo, hi) if spans_cut else slice(None),)
-                acc = otimes[acc, table[index]]
+                acc = alg.otimes[acc, table[index]]
             yield acc.ravel()
 
 
@@ -115,7 +114,7 @@ def brute_force_solve(problem: Problem | RawProblem, cap: int = DEFAULT_TUPLE_CA
     _check_size(problem.domain_sizes, cap)
     alg = problem.algebra
     # The empty leading array keeps the concatenation valid when there is no assignment.
-    values = np.concatenate([np.empty(0, np.uint8), *_value_chunks(problem)])
+    values = np.concatenate([np.empty(0, np.intp), *_value_chunks(problem)])
     occurring = np.flatnonzero(np.bincount(values, minlength=alg.size)).tolist()
     optimal = maximal_elements(alg, occurring)
     mask = np.zeros(alg.size, dtype=bool)

@@ -11,6 +11,7 @@ import time
 from dataclasses import dataclass
 from math import comb
 
+import numpy as np
 import pytest
 
 import drlcsp as d
@@ -124,7 +125,7 @@ def test_criterion_02_residuum_uniqueness(suite):
     mismatched = [
         a.name
         for a in algebras
-        if d.residuum_from_tables(a.leq, a.join, a.otimes) != a.residuum
+        if not np.array_equal(d.residuum_from_tables(a.leq, a.join, a.otimes), a.residuum)
     ]
     _report(2, f"residuum rederivation over {len(algebras)} algebras", not mismatched)
     assert not mismatched, mismatched[:5]
@@ -157,7 +158,8 @@ def test_criterion_04_chains_are_prelinear_with_sup_residuum(suite):
         chains += 1
         if not flags.prelinear:
             failures.append((algebra.name, "chain is not prelinear"))
-        if d.residuum_from_tables(algebra.leq, algebra.join, algebra.otimes) != algebra.residuum:
+        rederived = d.residuum_from_tables(algebra.leq, algebra.join, algebra.otimes)
+        if not np.array_equal(rederived, algebra.residuum):
             failures.append((algebra.name, "residuum differs from the sup formula"))
     ok = not failures and chains > 20
     _report(4, f"{chains} chains prelinear with adjoint residuum", ok)

@@ -31,8 +31,8 @@ DIAMOND = [
 class TestDeriveLattice:
     def test_two_chain(self):
         meet, join, top, bottom = d.derive_lattice([[1, 1], [0, 1]])
-        assert meet == ((0, 0), (0, 1))
-        assert join == ((0, 1), (1, 1))
+        assert meet.tolist() == [[0, 0], [0, 1]]
+        assert join.tolist() == [[0, 1], [1, 1]]
         assert (top, bottom) == (1, 0)
 
     def test_diamond(self):
@@ -70,9 +70,118 @@ class TestDeriveLattice:
             d.derive_lattice(leq)
 
 
+def _reference_derive_lattice(leq):
+    """The per-x `np.where` grid derivation that the rank-order argmax replaced."""
+    L = algebra._as_bool_matrix(leq)
+    algebra._require_partial_order(L)
+    top, bottom = algebra._bounds(L)
+    n = L.shape[0]
+    rank = algebra._rank(L)
+    meet = np.empty((n, n), dtype=np.int64)
+    join = np.empty((n, n), dtype=np.int64)
+    for x in range(n):
+        cand = L[:, x][:, None] & L  # cand[z, y]: z below both x and y
+        zstar = np.where(cand, rank[:, None], -1).argmax(axis=0)
+        bad = (cand & ~L[:, zstar]).any(axis=0)
+        if bad.any():
+            raise d.NotALattice((x, int(np.argmax(bad))))
+        meet[x] = zstar
+
+        cand = L[x][:, None] & L.T  # cand[z, y]: z above both x and y
+        zstar = np.where(cand, rank[:, None], n + 1).argmin(axis=0)
+        bad = (cand & ~L[zstar].T).any(axis=0)
+        if bad.any():
+            raise d.NotALattice((x, int(np.argmax(bad))))
+        join[x] = zstar
+    return meet, join, top, bottom
+
+
+def _random_partial_order(rng: random.Random) -> list[list[bool]]:
+    """A random partial order on 1..8 points, relabelled: the transitive
+    closure of a random DAG, or two layers joined by random edges, most
+    often with a new bottom and top so that lattices and bounded
+    non-lattices occur as well as unbounded orders."""
+    if rng.random() < 0.5:
+        k = rng.randint(1, 6)
+        p = rng.uniform(0.2, 0.7)
+        rel = [[i == j or (i < j and rng.random() < p) for j in range(k)] for i in range(k)]
+        for m in range(k):
+            for i in range(k):
+                if rel[i][m]:
+                    rel[i] = [a or b for a, b in zip(rel[i], rel[m])]
+    else:
+        low, high = rng.randint(2, 3), rng.randint(2, 3)
+        k = low + high
+        rel = [[i == j or (i < low <= j and rng.random() < 0.6) for j in range(k)]
+               for i in range(k)]
+    if rng.random() < 0.7:
+        rel = [[True] * (k + 1)] + [[False] + row for row in rel]  # new bottom
+        rel = [row + [True] for row in rel] + [[False] * (k + 1) + [True]]  # new top
+        k += 2
+    perm = list(range(k))
+    rng.shuffle(perm)
+    return [[rel[perm[i]][perm[j]] for j in range(k)] for i in range(k)]
+
+
+def _derivation_outcome(derive, leq):
+    try:
+        meet, join, top, bottom = derive(leq)
+    except (d.AlgebraError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    assert type(top) is int and type(bottom) is int
+    return np.asarray(meet).tolist(), np.asarray(join).tolist(), top, bottom
+
+
+class TestDeriveLatticeAgainstReference:
+    M3 = [[1, 1, 1, 1, 1], [0, 1, 0, 0, 1], [0, 0, 1, 0, 1], [0, 0, 0, 1, 1], [0, 0, 0, 0, 1]]
+    # N5: 0 < a < c < 1 and 0 < b < 1 with b incomparable to a and c
+    N5 = [[1, 1, 1, 1, 1], [0, 1, 0, 1, 1], [0, 0, 1, 0, 1], [0, 0, 0, 1, 1], [0, 0, 0, 0, 1]]
+
+    @staticmethod
+    def _row_with_both_failures():
+        """Element 0 has no meet with 2 and no join with 1, so the witness
+        shows which of the two is tested first."""
+        m, r, n, bot, p, q, s, t, top = range(9)
+        below = {(p, m), (q, m), (p, n), (q, n), (m, s), (m, t), (r, s), (r, t)}
+        leq = [[i == j or i == bot or j == top or (i, j) in below for j in range(9)]
+               for i in range(9)]
+        for k in range(9):  # transitive closure
+            for i in range(9):
+                if leq[i][k]:
+                    leq[i] = [a or b for a, b in zip(leq[i], leq[k])]
+        return leq
+
+    def test_meet_failure_is_reported_before_join_failure(self):
+        outcome = self._agree(self._row_with_both_failures())
+        assert outcome == ("NotALattice", str(d.NotALattice((0, 2))))
+
+    def _agree(self, leq):
+        expected = _derivation_outcome(_reference_derive_lattice, leq)
+        assert _derivation_outcome(d.derive_lattice, leq) == expected
+        return expected
+
+    def test_builtins_and_named_lattices(self):
+        orders = [make().leq for make in BUILTIN_SAMPLE]
+        orders += [d.direct_product(d.godel_chain(3), d.weighted(3)).leq, DIAMOND, self.M3, self.N5]
+        orders += [leq for _, leq in distributive_lattices(6)]
+        for leq in orders:
+            assert isinstance(self._agree(leq)[0], list)
+
+    def test_random_partial_orders(self):
+        rng = random.Random(8128)
+        kinds = {}
+        for _ in range(600):
+            outcome = self._agree(_random_partial_order(rng))
+            kind = outcome[0] if isinstance(outcome[0], str) else "lattice"
+            kinds[kind] = kinds.get(kind, 0) + 1
+        # lattices, unbounded orders and bounded non-lattices all occur
+        assert kinds.keys() == {"lattice", "NotBounded", "NotALattice"}
+        assert min(kinds.values()) > 50, kinds
+
+
 class TestResiduumDerivation:
     def test_boolean_bottom_implies_everything(self, boolean_alg):
-        assert boolean_alg.residuum[0] == (1, 1)
+        assert boolean_alg.residuum[0].tolist() == [1, 1]
 
     def test_lukasiewicz3_half_to_zero(self, luk3):
         # brute-force sup over {z : max(0, 1+z-2) <= 0} = {0, 1}
@@ -86,27 +195,21 @@ class TestResiduumDerivation:
         # top when x <= y, else y
         for n in (2, 3, 5, 7):
             g = d.godel_chain(n)
-            expected = tuple(
-                tuple(n - 1 if x <= y else y for y in range(n)) for x in range(n)
-            )
-            assert g.residuum == expected
+            expected = [[n - 1 if x <= y else y for y in range(n)] for x in range(n)]
+            assert g.residuum.tolist() == expected
 
     def test_lukasiewicz_closed_form(self):
         for n in (2, 3, 5, 7):
             luk = d.lukasiewicz_chain(n)
-            expected = tuple(
-                tuple(min(n - 1, n - 1 - x + y) for y in range(n)) for x in range(n)
-            )
-            assert luk.residuum == expected
+            expected = [[min(n - 1, n - 1 - x + y) for y in range(n)] for x in range(n)]
+            assert luk.residuum.tolist() == expected
 
     def test_weighted_closed_form(self):
         # truncated cost difference
         for n in (1, 4, 10):
             w = d.weighted(n)
-            expected = tuple(
-                tuple(max(0, y - x) for y in range(n + 1)) for x in range(n + 1)
-            )
-            assert w.residuum == expected
+            expected = [[max(0, y - x) for y in range(n + 1)] for x in range(n + 1)]
+            assert w.residuum.tolist() == expected
 
     def test_weighted4_worked_values(self, w4):
         assert w4.otimes[1][3] == 4  # saturates at bottom
@@ -116,7 +219,7 @@ class TestResiduumDerivation:
         for make in BUILTIN_SAMPLE:
             a = make()
             rederived = d.residuum_from_tables(a.leq, a.join, a.otimes)
-            assert rederived == a.residuum
+            assert np.array_equal(rederived, a.residuum)
 
     def test_non_residuable_product_rejected(self):
         # a product that is not monotone over the chain order
@@ -177,7 +280,7 @@ class TestResiduumAgainstSupFormula:
             with pytest.raises(d.ResiduationFails):
                 d.residuum_from_tables(leq, join, otimes)
             return False
-        assert d.residuum_from_tables(leq, join, otimes) == expected
+        assert np.array_equal(d.residuum_from_tables(leq, join, otimes), expected)
         return True
 
     def test_builtins_and_heyting_algebras(self):
@@ -257,32 +360,61 @@ class TestCheckAxioms:
             d.check_axioms(boolean_alg, "nope")
 
     def test_malformed_table_rejected(self, boolean_alg):
-        bad = d.FiniteDRL(2, boolean_alg.leq, boolean_alg.meet, boolean_alg.join,
-                          ((0, 5), (0, 1)), boolean_alg.residuum, 1, 0)
+        # An algebra with a malformed table cannot be built, so no law check sees one.
         with pytest.raises(ValueError):
-            d.check_axioms(bad, "drl")
+            d.FiniteDRL(2, boolean_alg.leq, boolean_alg.meet, boolean_alg.join,
+                        ((0, 5), (0, 1)), boolean_alg.residuum, 1, 0)
 
     @pytest.mark.parametrize("entry", [-1, -0.5, 0.5, 2**63, 2**64, -(2**63) - 1])
     def test_out_of_range_or_fractional_entry_rejected(self, boolean_alg, entry):
-        bad = d.FiniteDRL(2, boolean_alg.leq, boolean_alg.meet, boolean_alg.join,
-                          ((0, entry), (0, 1)), boolean_alg.residuum, 1, 0)
+        # Refused when the algebra is built, so check_axioms, classify and
+        # replay_axiom never see the entry wrap round or truncate.
         with pytest.raises(ValueError, match="'?otimes'? table has entries outside"):
-            d.check_axioms(bad, "drl")
+            d.FiniteDRL(2, boolean_alg.leq, boolean_alg.meet, boolean_alg.join,
+                        ((0, entry), (0, 1)), boolean_alg.residuum, 1, 0)
         with pytest.raises(ValueError, match="'?otimes'? table has entries outside"):
-            d.classify(bad)
-        with pytest.raises(ValueError, match="'?otimes'? table has entries outside"):
-            d.replay_axiom(bad, "drl", "otimes-commutative", (0, 1, 0))
+            dataclasses.replace(boolean_alg, otimes=((0, entry), (0, 1)))
 
     @pytest.mark.parametrize("field", ["top", "bottom"])
     def test_boolean_top_or_bottom_rejected(self, field):
         # As a numpy index False is an empty mask, so the laws on top and
         # bottom would hold vacuously; 0 is weighted(4)'s top, not its bottom.
+        # Such an algebra cannot be built, so no law check sees one.
         w = d.weighted(4)
-        bad = dataclasses.replace(w, **{field: False})
-        for call in (lambda: d.check_axioms(bad, "drl"), lambda: d.classify(bad),
-                     lambda: d.replay_axiom(bad, "drl", "top-greatest", (0, 0, 0))):
-            with pytest.raises(ValueError, match="top/bottom out of range"):
-                call()
+        with pytest.raises(ValueError, match="top/bottom out of range"):
+            dataclasses.replace(w, **{field: False})
+
+
+class TestTables:
+    def test_stored_as_read_only_arrays(self, godel3):
+        for key in ("leq", "meet", "join", "otimes", "residuum"):
+            table = getattr(godel3, key)
+            assert table.shape == (3, 3) and not table.flags.writeable
+            assert table.dtype == (bool if key == "leq" else np.intp)
+        with pytest.raises(ValueError, match="read-only"):
+            godel3.otimes[0, 0] = 1
+        assert d.godel_chain(3) == godel3
+
+    def test_built_from_a_caller_array_copies_it(self, godel3):
+        otimes = np.array(godel3.otimes)
+        a = dataclasses.replace(godel3, otimes=otimes)
+        otimes[0, 0] = 2
+        assert a == godel3 and a.otimes[0, 0] == 0
+
+    def test_equality_ignores_name_and_hash_agrees(self, godel3):
+        renamed = dataclasses.replace(godel3, name="other")
+        assert renamed == godel3 and hash(renamed) == hash(godel3)
+        assert godel3 != d.lukasiewicz_chain(3)
+        assert godel3 != dataclasses.replace(godel3, top=1)
+
+    @pytest.mark.parametrize("table,message", [
+        ([[0, 0], [0]], "meet table is not 2x2"),
+        ([[0, 0, 0], [0, 1, 0]], "meet table is not 2x2"),
+        ([[0, 0], [0, 2]], "meet table has entries outside the carrier"),
+    ])
+    def test_shape_and_range_refused_when_built(self, boolean_alg, table, message):
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(boolean_alg, meet=table)
 
 
 class TestClassify:
@@ -364,7 +496,7 @@ class TestBuiltins:
     def test_heyting_diamond_residuum(self):
         h = d.heyting_from_lattice(DIAMOND)
         assert h.residuum[1][2] == 2  # a -> b is b
-        assert h.otimes == h.meet
+        assert np.array_equal(h.otimes, h.meet)
 
     def test_heyting_rejects_non_distributive(self):
         # M3: three incomparable atoms is a lattice but not distributive
@@ -406,11 +538,13 @@ class TestDirectProduct:
 
     def test_componentwise_residuum_matches_derivation(self, godel3, w4):
         p = d.direct_product(godel3, w4)
-        assert d.residuum_from_tables(p.leq, p.join, p.otimes) == p.residuum
+        assert np.array_equal(d.residuum_from_tables(p.leq, p.join, p.otimes), p.residuum)
 
-    def test_size_overflow(self, w10):
-        with pytest.raises(d.SizeOverflow):
-            d.direct_product(w10, w10, cap=100)
+    def test_size_overflow(self, w10, monkeypatch):
+        monkeypatch.setenv("DRL_SOFT_CARRIER_CAP", "120")
+        with pytest.raises(d.SizeOverflow) as info:
+            d.direct_product(w10, w10)
+        assert (info.value.size, info.value.cap) == (121, 120)
 
     def test_cap_env_override(self, w10, monkeypatch):
         monkeypatch.setenv("DRL_SOFT_CARRIER_CAP", "100")
@@ -434,7 +568,7 @@ class TestExpandCIS:
     def test_output_is_idempotent_with_meet_product(self):
         h = d.heyting_from_lattice(DIAMOND)
         out = d.expand_cis(h.join, h.meet, h.top, h.bottom)
-        assert out.otimes == out.meet
+        assert np.array_equal(out.otimes, out.meet)
         assert d.classify(out).idempotent
         assert d.check_axioms(out, "drl").ok
 
@@ -443,12 +577,25 @@ class TestExpandCIS:
             d.expand_cis(luk3.join, luk3.otimes, luk3.top, luk3.bottom)
         assert info.value.axiom == "otimes-idempotent"
 
+    @pytest.mark.parametrize("top,bottom", [
+        (0, False), (True, 1), (0, 1.0), (0.0, 1), (0, 2), (-1, 1),
+    ], ids=["bool-bottom", "bool-top", "float-bottom", "float-top", "out-of-range", "negative"])
+    def test_non_element_top_or_bottom_refused_before_any_law(self, top, bottom, monkeypatch):
+        # top 0 and bottom 1; as a numpy index False is an empty mask, so the
+        # laws on bottom would hold vacuously and the result would carry
+        # bottom=False, which brute_force_solve then takes for element 0.
+        h = d.heyting_from_lattice([[1, 0], [1, 1]])
+        assert (h.top, h.bottom) == (0, 1)
+        monkeypatch.setattr(algebra, "_first_failures", None)  # no law may run
+        with pytest.raises(ValueError, match="top/bottom out of range"):
+            d.expand_cis(h.join, h.otimes, top, bottom)
 
-def _tensor_first_failure(t, law):
+
+def _tensor_first_failure(a, law):
     """Reference: evaluate `law` on the whole n**3 grid at once."""
-    ids = np.arange(t.n)
-    res = np.asarray(law(t, ids[:, None, None], ids[None, :, None], ids[None, None, :]))
-    res = np.broadcast_to(res, (t.n,) * 3)
+    ids = np.arange(a.size)
+    res = np.asarray(law(a, ids[:, None, None], ids[None, :, None], ids[None, None, :]))
+    res = np.broadcast_to(res, (a.size,) * 3)
     if res.all():
         return None
     return tuple(int(v) for v in np.argwhere(~res)[0])
@@ -479,16 +626,15 @@ class TestBlockedEvaluator:
         check = next(c for c in d.check_axioms(bad, profile).checks if c.axiom == axiom)
         law = dict(algebra.PROFILES[profile])[axiom]
         assert check.counterexample == witness
-        assert _tensor_first_failure(algebra._np_view(bad), law) == witness
+        assert _tensor_first_failure(bad, law) == witness
         assert d.replay_axiom(bad, profile, axiom, witness) is False
 
     def test_clean_algebra_agrees_with_whole_grid(self):
         a = d.direct_product(d.godel_chain(9), d.weighted(8))  # three blocks
-        t = algebra._np_view(a)
         for profile, laws in algebra.PROFILES.items():
             report = d.check_axioms(a, profile)
             for (axiom, law), check in zip(laws, report.checks):
-                assert check.counterexample == _tensor_first_failure(t, law), (profile, axiom)
+                assert check.counterexample == _tensor_first_failure(a, law), (profile, axiom)
 
     def test_peak_memory_is_bounded(self):
         a = d.direct_product(d.lukasiewicz_chain(11), d.godel_chain(11))

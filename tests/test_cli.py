@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 import drlcsp as d
@@ -53,7 +54,7 @@ class TestAlgebraCommands:
         out = tmp_path / "h.json"
         assert main(["algebra", "make", "--kind", "heyting",
                      "--lattice", str(lattice), "-o", str(out)]) == 0
-        assert d.read_algebra(out).otimes == d.read_algebra(out).meet
+        assert np.array_equal(d.read_algebra(out).otimes, d.read_algebra(out).meet)
 
     @pytest.mark.parametrize("table,message", [
         ([[1, 2], [0, 1]], "'leq' entries must be 0 or 1"),
@@ -75,6 +76,22 @@ class TestAlgebraCommands:
         out = tmp_path / "big.json"
         assert main(["algebra", "make", "--kind", kind, "--n", str(n), "-o", str(out)]) == 3
         assert "carrier of size 9 exceeds the cap 8" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_make_product_obeys_carrier_cap(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("DRL_SOFT_CARRIER_CAP", "8")
+        left, right = tmp_path / "b.json", tmp_path / "g5.json"
+        left.write_text(d.save_algebra(d.boolean()))
+        right.write_text(d.save_algebra(d.godel_chain(5)))
+        out = tmp_path / "big.json"
+        argv = ["algebra", "make", "--kind", "product",
+                "--left", str(left), "--right", str(right), "-o", str(out)]
+        assert main(argv) == 3
+        assert "carrier of size 10 exceeds the cap 8" in capsys.readouterr().err
+        assert not out.exists()
+        # The environment variable is the only cap; there is no flag to raise it.
+        assert main(argv + ["--cap", "100"]) == 1
+        assert "unrecognized arguments: --cap 100" in capsys.readouterr().err
         assert not out.exists()
 
     def test_make_heyting_obeys_carrier_cap(self, tmp_path, monkeypatch):

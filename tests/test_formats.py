@@ -2,6 +2,7 @@ import json
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import drlcsp as d
@@ -119,7 +120,7 @@ def _reference_load(text: str) -> d.FiniteDRL | None:
         return None
     derived = {"meet": meet, "join": join, "residuum": residuum}
     if (obj["top"], obj["bottom"]) != (top, bottom) or any(
-        key in obj and tuple(map(tuple, obj[key])) != table for key, table in derived.items()
+        key in obj and not np.array_equal(obj[key], table) for key, table in derived.items()
     ):
         return None
     algebra = d.FiniteDRL(obj["size"], leq, meet, join, otimes, residuum, top, bottom,

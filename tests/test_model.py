@@ -167,3 +167,62 @@ class TestConsistencyPredicate:
                 continue
             if d.is_k_hyperarc_consistent(out.problem, 3) is None:
                 assert d.is_k_hyperarc_consistent(out.problem, 2) is None
+
+
+def _assert_python_ints(value):
+    """Every number inside `value` is a Python int (or bool), as json.dumps needs."""
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            _assert_python_ints(item)
+    else:
+        assert type(value) in (int, bool), (type(value), value)
+
+
+class TestPublicResultsArePythonInts:
+    """The tables are numpy arrays; nothing the API returns may leak numpy scalars."""
+
+    def _algebras(self):
+        b = d.boolean()
+        diamond_under_top = d.heyting_from_lattice([
+            [1, 1, 1, 1, 1], [0, 1, 0, 1, 1], [0, 0, 1, 1, 1], [0, 0, 0, 1, 1], [0, 0, 0, 0, 1],
+        ])
+        return [d.godel_chain(4), d.weighted(5), d.lukasiewicz_chain(4),
+                d.direct_product(b, b), d.direct_product(d.lukasiewicz_chain(3), d.godel_chain(3)),
+                diamond_under_top]
+
+    def test_seeded_runs(self):
+        violations = inconsistent = counterexamples = 0
+        for alg in self._algebras():
+            _assert_python_ints([alg.size, alg.top, alg.bottom])
+            for seed in range(12):
+                raw = d.RawProblem(alg, (3, 2, 2), [
+                    d.Constraint((0,), [alg.bottom, seed % alg.size, alg.top]),
+                    d.Constraint((0, 1), [(seed + i) % alg.size for i in range(6)]),
+                    d.Constraint((0, 1), [(seed * i) % alg.size for i in range(6)]),
+                    d.Constraint((1, 2), [(seed + 3 * i) % alg.size for i in range(4)]),
+                ])
+                problem = d.normalize(raw)
+                solved = d.brute_force_solve(raw)
+                _assert_python_ints([solved.optimal_values, solved.solutions, solved.inconsistent])
+                _assert_python_ints(d.maximal_elements(alg, range(alg.size)))
+                _assert_python_ints(d.combined_value(raw, (seed % 3, 1, 0)))
+                if problem is None:
+                    continue
+                _assert_python_ints([c.values for c in problem.constraints.values()])
+                for strategy in (d.MAXIMAL_LEX, d.maximal_seeded(seed), d.JOIN):
+                    out = d.enforce_k_hyperarc(problem, 2, strategy)
+                    if out.inconsistent:
+                        inconsistent += 1
+                        continue
+                    _assert_python_ints([c.values for c in out.problem.constraints.values()])
+                    violation = d.is_k_hyperarc_consistent(out.problem, 2)
+                    if violation is None:
+                        violation = d.is_k_hyperarc_consistent(problem, 2)
+                    if violation is not None:
+                        violations += 1
+                        _assert_python_ints([violation.scope, violation.variable, violation.value])
+                    cex = d.check_equivalent(problem, out.problem)
+                    if cex is not None:
+                        _assert_python_ints([cex.assignment, cex.value_a, cex.value_b])
+                    counterexamples += cex is not None
+        assert violations and inconsistent and counterexamples
