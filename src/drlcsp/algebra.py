@@ -10,9 +10,21 @@ algebras over finite distributive lattices, and direct products. The
 residuum table is never taken on trust: it is derived from the order
 and the product as x -> y = the greatest z with x * z <= y, taken as the
 admitted z of highest linear-extension rank, and validated against the
-residuation law at every triple. Law checks visit all size**3 points in
-blocks of max(1, 2**18 // size**2) leading x values, so no temporary
-array exceeds max(2**18, size**2) entries.
+residuation law at every triple.
+
+The law check decides the slow laws on whole tables: transitivity of
+the order with one boolean matrix product; meets and joins by counting
+common bounds, on a transitive order; monotonicity on the covering
+pairs of a partial order; distributivity over joins from residuation
+on a partial order; associativity, residuation and the residuum
+exchange law by row gathers.
+Each of these returns True only when its law holds at every point.
+Every other law, and a law that its decision does not confirm, goes to
+the blocked evaluator, which visits all size**3 points in blocks of
+max(1, 2**18 // size**2) leading x values and returns the
+lexicographically least failing point; it runs in full only to locate a
+witness or to decide a law on a table that is not a partial order. No
+temporary array exceeds max(2**18, size**2) entries.
 """
 
 from __future__ import annotations
@@ -45,6 +57,12 @@ _TABLES = ("leq", "meet", "join", "otimes", "residuum")
 def carrier_cap() -> int:
     raw = os.environ.get(CARRIER_CAP_ENV, "").strip()
     return int(raw) if raw else DEFAULT_CARRIER_CAP
+
+
+def _in_carrier(table: np.ndarray, n: int) -> bool:
+    """Whether every entry is an integer id below n; fractions and ints too
+    large for a machine integer are not."""
+    return table.dtype.kind in "biu" and table.min() >= 0 and table.max() < n
 
 
 def _element_id(v, n: int) -> int:
@@ -95,7 +113,7 @@ class FiniteDRL:
                 raise ValueError(f"{key} table is not {n}x{n}")
             arrays[key] = arr
         for key, arr in arrays.items():
-            if key != "leq" and (arr.dtype.kind not in "biu" or arr.min() < 0 or arr.max() >= n):
+            if key != "leq" and not _in_carrier(arr, n):
                 raise ValueError(f"{key} table has entries outside the carrier")
             # Copy what the caller could still write to; keep fresh and read-only arrays.
             copy = arr is getattr(self, key) and arr.flags.writeable
@@ -160,15 +178,24 @@ def _first_failures(a, laws: Iterable[Callable]) -> Iterator[tuple[int, int, int
 
     Witnesses are lexicographically least. `a` is an algebra, or any
     object with the `size` and the tables and elements that the laws
-    read. A law must be written with numpy-compatible operations so the
-    same code evaluates pointwise on ints and broadcast on index grids.
-    The grids are built once for all the laws.
+    read. A law with an entry in `_DECISIONS` is first decided on whole
+    tables; when that returns True the law holds and no point is
+    visited. Every other law, and every law its decision does not
+    confirm, goes to the blocked evaluator, which finds the exact
+    verdict and the witness. A law must be written with
+    numpy-compatible operations so the same code evaluates pointwise on
+    ints and broadcast on index grids. The grids are built once for all
+    the laws.
     """
     n = a.size
     ids = np.arange(n)
     ys, zs = ids[None, :, None], ids[None, None, :]
-    block = max(1, _POINT_BUDGET // (n * n))
+    block = _block_rows(n)
     for law in laws:
+        decide = _DECISIONS.get(law)
+        if decide is not None and decide(a):
+            yield None
+            continue
         witness = None
         for start in range(0, n, block):
             xs = ids[start:start + block, None, None]
@@ -179,6 +206,11 @@ def _first_failures(a, laws: Iterable[Callable]) -> Iterator[tuple[int, int, int
                 witness = start + int(x), int(y), int(z)
                 break
         yield witness
+
+
+def _block_rows(n: int) -> int:
+    """Leading x values per block, so a block holds about _POINT_BUDGET points."""
+    return max(1, _POINT_BUDGET // (n * n))
 
 
 def _implies(p, q):
@@ -292,6 +324,134 @@ def _law_otimes_idempotent(a, x, y, z):
     return a.otimes[x, x] == x
 
 
+# ---------------------------------------------------------------------------
+# Whole-table decisions. Each returns True only when its law holds at every
+# point, and False whenever it fails; a decision that needs a partial (or
+# transitive) order also returns False without one. A False sends the law to
+# the blocked evaluator, which finds the verdict and the witness.
+
+
+def _count_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """C[i, j] = the number of k with A[i, k] and B[k, j], for boolean A, B.
+
+    Computed with float32 BLAS. That is exact because every entry and
+    partial sum is at most the carrier size, which stays below 2**24
+    for any carrier whose tables fit in memory.
+    """
+    return A.astype(np.float32) @ B.astype(np.float32)
+
+
+def _transitive(L: np.ndarray) -> bool:
+    return not (~L & (_count_product(L, L) > 0)).any()
+
+
+def _common_bounds(L: np.ndarray, lower: bool) -> np.ndarray:
+    """[x, y]: the number of z below (lower) or above both x and y."""
+    return _count_product(L.T, L) if lower else _count_product(L, L.T)
+
+
+def _order_defect(L: np.ndarray) -> str | None:
+    """The first partial-order property that L lacks, or None."""
+    if not L.diagonal().all():
+        return "reflexive"
+    if (L & L.T & ~np.eye(len(L), dtype=bool)).any():
+        return "antisymmetric"
+    if not _transitive(L):
+        return "transitive"
+    return None
+
+
+# With m = x meet y below both x and y and the order transitive, every
+# element below m is a common lower bound; so all common lower bounds are
+# below m exactly when there are as many of them as elements below m.
+# Joins dually.
+
+def _decide_meet_is_glb(a) -> bool:
+    L, M, ids = a.leq, a.meet, np.arange(a.size)
+    return bool(L[M, ids[:, None]].all() and L[M, ids].all() and _transitive(L)
+                and (_common_bounds(L, lower=True) == L.sum(axis=0)[M]).all())
+
+
+def _decide_join_is_lub(a) -> bool:
+    L, J, ids = a.leq, a.join, np.arange(a.size)
+    return bool(L[ids[:, None], J].all() and L[ids, J].all() and _transitive(L)
+                and (_common_bounds(L, lower=False) == L.sum(axis=1)[J]).all())
+
+
+def _narrow(T: np.ndarray) -> np.ndarray:
+    """T in the narrowest unsigned type that holds its ids; gathers of it move
+    less memory. The indices stay `intp`."""
+    return T.astype(np.min_scalar_type(len(T) - 1))
+
+
+def _associative(T: np.ndarray) -> bool:
+    values, block = _narrow(T), _block_rows(len(T))
+    for start in range(0, len(T), block):
+        rows = T[start:start + block]  # [x, y]: x * y
+        # [x, y, z]: (x*y)*z and x*(y*z)
+        if not np.array_equal(values[rows], np.take(values[start:start + block], T, axis=1)):
+            return False
+    return True
+
+
+def _decide_otimes_monotone(a) -> bool:
+    # In a finite partial order every x < y is a chain of covers (pairs with
+    # nothing strictly between), so the covering pairs suffice.
+    L, O = a.leq, a.otimes
+    if _order_defect(L) is not None:
+        return False
+    strict = L & ~np.eye(a.size, dtype=bool)
+    xs, ys = np.nonzero(strict & ~(_count_product(strict, strict) > 0))
+    step = max(1, _POINT_BUDGET // a.size)
+    return all(L[O[xs[i:i + step]], O[ys[i:i + step]]].all() for i in range(0, len(xs), step))
+
+
+def _decide_residuation(a) -> bool:
+    LT = np.ascontiguousarray(a.leq.T)  # LT[y, z]: z <= y
+    block = _block_rows(a.size)
+    for start in range(0, a.size, block):
+        product_below = np.take(LT, a.otimes[start:start + block], axis=1)  # [y, x, z]: x * z <= y
+        below_residuum = LT[a.residuum[start:start + block]]  # [x, y, z]: z <= x -> y
+        if not np.array_equal(product_below.transpose(1, 0, 2), below_residuum):
+            return False
+    return True
+
+
+def _decide_otimes_distributes_join(a) -> bool:
+    # When residuation holds on a partial order whose joins `join` gives,
+    # x * _ has the upper adjoint x -> _ and so preserves joins. Otherwise
+    # compare x * (y v z) with (x*y) v (x*z) one x at a time.
+    if (isinstance(a, FiniteDRL) and _order_defect(a.leq) is None and _decide_join_is_lub(a)
+            and _decide_residuation(a)):
+        return True
+    J = a.join
+    return all(np.array_equal(row[J], J[row][:, row]) for row in a.otimes)
+
+
+def _decide_residuum_exchange(a) -> bool:
+    O, R = a.otimes, a.residuum
+    values = _narrow(O)
+    for z in range(a.size):
+        ys = np.flatnonzero(a.leq[:, z])  # y <= z
+        # [x, y]: (x*z)*(z->y) and x*y
+        if not np.array_equal(values[O[:, z]][:, R[z, ys]], values[:, ys]):
+            return False
+    return True
+
+
+_DECISIONS: dict[Callable, Callable] = {
+    _law_leq_transitive: lambda a: _transitive(a.leq),
+    _law_meet_is_glb: _decide_meet_is_glb,
+    _law_join_is_lub: _decide_join_is_lub,
+    _law_otimes_associative: lambda a: _associative(a.otimes),
+    _law_join_associative: lambda a: _associative(a.join),
+    _law_residuation: _decide_residuation,
+    _law_otimes_monotone: _decide_otimes_monotone,
+    _law_otimes_distributes_join: _decide_otimes_distributes_join,
+    _law_residuum_exchange: _decide_residuum_exchange,
+}
+
+
 _DRL_LAWS: tuple[tuple[str, Callable], ...] = (
     ("leq-reflexive", _law_leq_reflexive),
     ("leq-antisymmetric", _law_leq_antisymmetric),
@@ -375,15 +535,9 @@ def _as_bool_matrix(leq) -> np.ndarray:
 
 
 def _require_partial_order(L: np.ndarray) -> None:
-    n = L.shape[0]
-    if not L.diagonal().all():
-        raise ValueError("order is not reflexive")
-    sym = L & L.T
-    if (sym & ~np.eye(n, dtype=bool)).any():
-        raise ValueError("order is not antisymmetric")
-    reach = (L.astype(np.float32) @ L.astype(np.float32)) > 0.5
-    if (reach & ~L).any():
-        raise ValueError("order is not transitive")
+    defect = _order_defect(L)
+    if defect is not None:
+        raise ValueError(f"order is not {defect}")
 
 
 def _bounds(L: np.ndarray) -> tuple[int, int]:
@@ -428,9 +582,8 @@ def derive_lattice(leq) -> tuple[np.ndarray, np.ndarray, int, int]:
         meet[x] = desc[(down & down[x]).argmax(axis=1)]  # first common lower bound by rank
         join[x] = asc[(up & up[x]).argmax(axis=1)]
 
-    F = L.astype(np.float32)  # counts below 2**24 are exact
-    bad_meet = F.T @ F != L.sum(axis=0)[meet]
-    bad_join = F @ F.T != L.sum(axis=1)[join]
+    bad_meet = _common_bounds(L, lower=True) != L.sum(axis=0)[meet]
+    bad_join = _common_bounds(L, lower=False) != L.sum(axis=1)[join]
     bad = bad_meet.any(axis=1) | bad_join.any(axis=1)
     if bad.any():
         x = int(np.argmax(bad))
@@ -607,17 +760,19 @@ def expand_cis(join, otimes, top: int, bottom: int, name: str = "") -> FiniteDRL
     The semiring laws are checked first (NotACIS on failure); the meet is
     the semiring product and the residuum comes from the adjunction
     formula. ValueError is raised, before any law runs, unless the
-    tables are square and equally sized and `top`/`bottom` are element
-    ids.
+    tables are square and equally sized with entries in the carrier and
+    `top`/`bottom` are element ids.
     """
-    J = np.asarray(join, dtype=np.intp)
-    O = np.asarray(otimes, dtype=np.intp)
+    J, O = np.asarray(join), np.asarray(otimes)
     if J.ndim != 2 or J.shape != O.shape or J.shape[0] != J.shape[1]:
         raise ValueError("join/otimes tables must be square and equally sized")
     n = J.shape[0]
-    semiring = SimpleNamespace(
-        size=n, join=J, otimes=O, top=_element_id(top, n), bottom=_element_id(bottom, n)
-    )
+    top, bottom = _element_id(top, n), _element_id(bottom, n)
+    for key, table in (("join", J), ("otimes", O)):
+        if not _in_carrier(table, n):
+            raise ValueError(f"{key} table has entries outside the carrier")
+    J, O = J.astype(np.intp), O.astype(np.intp)
+    semiring = SimpleNamespace(size=n, join=J, otimes=O, top=top, bottom=bottom)
     witnesses = _first_failures(semiring, [law for _, law in _CIS_LAWS])
     for (axiom, _), witness in zip(_CIS_LAWS, witnesses):
         if witness is not None:

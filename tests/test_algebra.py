@@ -590,6 +590,18 @@ class TestExpandCIS:
         with pytest.raises(ValueError, match="top/bottom out of range"):
             d.expand_cis(h.join, h.otimes, top, bottom)
 
+    @pytest.mark.parametrize("join,otimes,table", [
+        ([[0, 5], [5, 1]], [[0, 0], [0, 1]], "join"),
+        ([[0, 1], [1, 1]], [[0, 0], [0, -1]], "otimes"),
+        ([[0, 1], [1, 1]], [[0, 0.5], [0.5, 1]], "otimes"),
+    ], ids=["too-large", "negative", "fractional"])
+    def test_out_of_carrier_entry_refused_before_any_law(self, join, otimes, table, monkeypatch):
+        # 5 used to reach the law checker and raise numpy's IndexError, and -1
+        # wrapped round to element 1 and was reported as NotACIS.
+        monkeypatch.setattr(algebra, "_first_failures", None)  # no law may run
+        with pytest.raises(ValueError, match=f"{table} table has entries outside the carrier"):
+            d.expand_cis(join, otimes, 1, 0)
+
 
 def _tensor_first_failure(a, law):
     """Reference: evaluate `law` on the whole n**3 grid at once."""
@@ -609,10 +621,20 @@ def luk12_godel12():
 class TestBlockedEvaluator:
     # Carrier 144 is checked in blocks of 2**18 // 144**2 = 12 values of x;
     # each planted failure first shows at an x in the last block.
+    # Every law with a whole-table decision has a row, so the evaluator that
+    # runs after the decision refuses the law finds the same witness.
     @pytest.mark.parametrize("profile,axiom,table,cell,value,witness", [
         ("drl", "meet-is-glb", "meet", (140, 141), 0, (140, 141, 1)),
         ("derived", "residuum-characterizes-order", "residuum", (137, 137), 0, (137, 137, 0)),
         ("cis-reduct", "join-idempotent", "join", (141, 141), 0, (141, 0, 0)),
+        ("drl", "leq-transitive", "leq", (135, 142), 0, (135, 136, 142)),
+        ("drl", "join-is-lub", "join", (134, 137), 30, (134, 137, 0)),
+        ("drl", "otimes-associative", "otimes", (132, 0), 12, (132, 0, 0)),
+        ("drl", "residuation", "residuum", (136, 141), 108, (136, 141, 1)),
+        ("derived", "otimes-monotone", "otimes", (137, 143), 130, (132, 137, 143)),
+        ("derived", "residuum-exchange", "residuum", (12, 0), 143, (132, 0, 12)),
+        ("derived", "otimes-distributes-join", "otimes", (133, 135), 83, (133, 3, 132)),
+        ("cis-reduct", "join-associative", "join", (132, 0), 133, (132, 0, 12)),
     ])
     def test_failure_in_last_block(self, luk12_godel12, profile, axiom, table, cell,
                                    value, witness):
@@ -625,6 +647,8 @@ class TestBlockedEvaluator:
 
         check = next(c for c in d.check_axioms(bad, profile).checks if c.axiom == axiom)
         law = dict(algebra.PROFILES[profile])[axiom]
+        decide = algebra._DECISIONS.get(law)
+        assert decide is None or decide(bad) is False
         assert check.counterexample == witness
         assert _tensor_first_failure(bad, law) == witness
         assert d.replay_axiom(bad, profile, axiom, witness) is False
@@ -647,3 +671,92 @@ class TestBlockedEvaluator:
         # the whole 121**3 grid of int64 indices alone would need 14 MB
         assert report.ok
         assert peak < 12_000_000
+
+
+def _mutated(a: d.FiniteDRL, rng: random.Random) -> d.FiniteDRL:
+    """`a` with one to three of these changes, built without any law check:
+    a flipped order entry, on the diagonal or off it; two distinct elements
+    made mutually below (the order is then not antisymmetric); two order
+    entries added or one removed (most often the order is then not
+    transitive); a meet, join, otimes or residuum entry set to another
+    element, now and then at both (x, y) and (y, x); two entries of one
+    row of those tables swapped."""
+    tables = {key: np.array(getattr(a, key)) for key in ("leq", "meet", "join", "otimes", "residuum")}
+    L, n = tables["leq"], a.size
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice(["flip", "mutual", "add-two", "remove", "meet", "join", "otimes",
+                           "residuum", "otimes", "swap"])
+        x, y = rng.sample(range(n), 2)
+        if kind == "flip":
+            x = rng.choice([x, y])
+            L[x, y] = not L[x, y]
+        elif kind == "swap":
+            T = tables[rng.choice(["meet", "join", "otimes", "residuum"])]
+            z = rng.randrange(n)
+            T[x, y], T[x, z] = T[x, z], T[x, y]
+        elif kind == "mutual":
+            L[x, y] = L[y, x] = True
+        elif kind == "add-two":
+            L[x, y] = L[rng.randrange(n), rng.randrange(n)] = True
+        elif kind == "remove":
+            xs, ys = np.nonzero(L)
+            i = rng.randrange(len(xs))
+            L[xs[i], ys[i]] = False
+        else:
+            T = tables[kind]
+            T[x, y] = rng.randrange(n)
+            if rng.random() < 0.5:
+                T[y, x] = T[x, y]
+    return dataclasses.replace(a, **tables)
+
+
+class TestDecisions:
+    """The whole-table decisions against the whole-grid reference."""
+
+    def test_mutated_algebras_agree_with_whole_grid(self):
+        bases = [make() for make in BUILTIN_SAMPLE] + [
+            d.direct_product(d.godel_chain(3), d.lukasiewicz_chain(3)),
+            d.direct_product(d.boolean(), d.heyting_from_lattice(DIAMOND)),
+            d.direct_product(d.lukasiewicz_chain(4), d.weighted(4)),
+            d.direct_product(d.lukasiewicz_chain(6), d.godel_chain(6)),
+        ]
+        bases += [d.heyting_from_lattice(leq) for _, leq in distributive_lattices(6) if len(leq) > 2]
+        rng = random.Random(20081018)
+        outcomes = {law: set() for law in algebra._DECISIONS}
+        for _ in range(500):
+            a = _mutated(rng.choice(bases), rng)
+            partial_order = algebra._order_defect(a.leq) is None
+            for profile, laws in algebra.PROFILES.items():
+                for (axiom, law), check in zip(laws, d.check_axioms(a, profile).checks):
+                    witness = _tensor_first_failure(a, law)
+                    assert check.counterexample == witness, (a.name, profile, axiom)
+                    decide = algebra._DECISIONS.get(law)
+                    if decide is not None:
+                        decided = decide(a)
+                        # a decision never refuses a law that holds on a partial order
+                        assert decided is (witness is None) or not partial_order, (profile, axiom)
+                        outcomes[law].add((decided, witness is None, partial_order))
+        for law, seen in outcomes.items():
+            # each decision confirms its law on some algebras and refuses it on others
+            assert {(True, True), (False, False)} <= {s[:2] for s in seen}, (law.__name__, seen)
+        # a law that holds without a partial order, which these decisions refuse
+        for law in (algebra._law_meet_is_glb, algebra._law_otimes_monotone):
+            assert (False, True, False) in outcomes[law], law.__name__
+
+    # Found by search over all reflexive relations on four elements. The
+    # order is not transitive and the law fails at (3, 3, 3), yet the count
+    # form alone would confirm it: 3 and 3 have three common lower bounds,
+    # and three elements lie below their meet 1. With the transposed order
+    # and the same table as join, the dual holds for joins.
+    @pytest.mark.parametrize("axiom,leq", [
+        ("meet-is-glb", [[1, 1, 1, 1], [1, 1, 1, 1], [0, 1, 1, 0], [0, 0, 0, 1]]),
+        ("join-is-lub", [[1, 1, 0, 0], [1, 1, 1, 0], [1, 1, 1, 0], [1, 1, 0, 1]]),
+    ])
+    def test_count_form_needs_a_transitive_order(self, axiom, leq):
+        table = [[0, 0, 0, 0], [0, 1, 1, 0], [0, 1, 1, 0], [0, 0, 0, 1]]
+        zeros = [[0] * 4] * 4
+        a = d.FiniteDRL(4, leq, table, table, zeros, zeros, 0, 0)
+        law = dict(algebra.PROFILES["drl"])[axiom]
+        assert algebra._DECISIONS[law](a) is False
+        check = next(c for c in d.check_axioms(a, "drl").checks if c.axiom == axiom)
+        assert check.counterexample == _tensor_first_failure(a, law) == (3, 3, 3)
