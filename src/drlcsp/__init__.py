@@ -15,7 +15,6 @@ from .algebra import (
     godel_chain,
     heyting_from_lattice,
     lukasiewicz_chain,
-    make_builtin,
     replay_axiom,
     residuum_from_tables,
     weighted,

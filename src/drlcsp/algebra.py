@@ -9,8 +9,9 @@ chain families (Goedel, Lukasiewicz, weighted cost chains), Heyting
 algebras over finite distributive lattices, and direct products. The
 residuum table is never taken on trust: it is derived from the order
 and the product as x -> y = the greatest z with x * z <= y, taken as the
-admitted z of highest linear-extension rank, and validated against the
-residuation law at every triple.
+admitted z of highest linear-extension rank (one row gather per x), and
+validated by the law checker's own `residuation` decision, which falls
+back to the blocked evaluator only to find a failing triple.
 
 The law check decides the slow laws on whole tables: transitivity of
 the order with one boolean matrix product; meets and joins by counting
@@ -592,13 +593,13 @@ def derive_lattice(leq) -> tuple[np.ndarray, np.ndarray, int, int]:
     return meet, join, top, bottom
 
 
-def residuum_from_tables(leq, join, otimes) -> np.ndarray:
+def residuum_from_tables(leq, otimes) -> np.ndarray:
     """Derive the residuum as the greatest admitted element and validate it.
 
-    x -> y is the rank-maximal z with x * z <= y; `join` is not needed.
-    Raises ResiduationFails when the result violates the residuation law
-    at some triple, which signals that the inputs were not a bounded
-    lattice with a monotone product distributing over joins.
+    x -> y is the rank-maximal z with x * z <= y. Raises ResiduationFails,
+    with the lexicographically least failing triple, when the result
+    violates the residuation law, which signals that the inputs were not
+    a bounded lattice with a monotone product distributing over joins.
     """
     L = _as_bool_matrix(leq)
     O = np.asarray(otimes, dtype=np.intp)
@@ -606,14 +607,13 @@ def residuum_from_tables(leq, join, otimes) -> np.ndarray:
         raise NotBounded()
 
     by_rank = np.argsort(-_rank(L))
-    LT = np.ascontiguousarray(L.T)  # LT[y, z]: z <= y
     R = np.empty_like(O)
     for x in range(len(L)):
-        R[x] = by_rank[LT[:, O[x, by_rank]].argmax(axis=1)]  # first admitted z by rank
-        neq = LT[:, O[x]] != LT[R[x]]  # [y, z]: x * z <= y differs from z <= x -> y
-        if neq.any():
-            y, z = np.argwhere(neq)[0]
-            raise ResiduationFails((x, int(y), int(z)))
+        R[x] = by_rank[L[O[x, by_rank]].argmax(axis=0)]  # first admitted z by rank
+    tables = SimpleNamespace(size=len(L), leq=L, otimes=O, residuum=R)
+    witness = next(_first_failures(tables, [_law_residuation]))
+    if witness is not None:
+        raise ResiduationFails(witness)
     return R
 
 
@@ -671,7 +671,7 @@ def _build_chain(n: int, product: Callable, name: str) -> FiniteDRL:
     leq, meet, join = _chain_tables(n)
     ids = np.arange(n)
     otimes = product(ids[:, None], ids[None, :])
-    residuum = residuum_from_tables(leq, join, otimes)
+    residuum = residuum_from_tables(leq, otimes)
     return FiniteDRL(n, leq, meet, join, otimes, residuum, n - 1, 0, name)
 
 
@@ -710,7 +710,7 @@ def weighted(n: int) -> FiniteDRL:
     meet = np.maximum.outer(ids, ids)
     join = np.minimum.outer(ids, ids)
     otimes = np.minimum(n, np.add.outer(ids, ids))
-    residuum = residuum_from_tables(leq, join, otimes)
+    residuum = residuum_from_tables(leq, otimes)
     return FiniteDRL(size, leq, meet, join, otimes, residuum, 0, n, f"weighted({n})")
 
 
@@ -728,7 +728,7 @@ def heyting_from_lattice(leq, name: str = "") -> FiniteDRL:
     witness = next(_first_failures(semiring, [_law_otimes_distributes_join]))
     if witness is not None:
         raise NotDistributive(witness)
-    residuum = residuum_from_tables(L, join, meet)
+    residuum = residuum_from_tables(L, meet)
     return FiniteDRL(n, L, meet, join, meet, residuum, top, bottom, name or f"heyting({n})")
 
 
@@ -779,38 +779,6 @@ def expand_cis(join, otimes, top: int, bottom: int, name: str = "") -> FiniteDRL
             raise NotACIS(axiom, witness)
 
     leq = J == np.arange(n)  # x <= y iff x v y = y
-    residuum = residuum_from_tables(leq, J, O)
+    residuum = residuum_from_tables(leq, O)
     return FiniteDRL(n, leq, O, J, O, residuum, top, bottom, name or f"cis({n})")
 
-
-_BUILTIN_KINDS = ("boolean", "godel", "lukasiewicz", "weighted", "heyting", "product")
-
-
-def make_builtin(kind: str, **params) -> FiniteDRL:
-    """Dispatch helper for the CLI: build one of the named families."""
-    if kind == "boolean":
-        return boolean()
-    if kind == "godel":
-        return godel_chain(_require_param(params, "n"))
-    if kind == "lukasiewicz":
-        return lukasiewicz_chain(_require_param(params, "n"))
-    if kind == "weighted":
-        return weighted(_require_param(params, "n"))
-    if kind == "heyting":
-        leq = params.get("leq")
-        if leq is None:
-            raise ValueError("heyting needs leq=<order table>")
-        return heyting_from_lattice(leq)
-    if kind == "product":
-        left, right = params.get("left"), params.get("right")
-        if left is None or right is None:
-            raise ValueError("product needs left=<algebra> and right=<algebra>")
-        return direct_product(left, right)
-    raise ValueError(f"unknown builtin kind {kind!r}; expected one of {_BUILTIN_KINDS}")
-
-
-def _require_param(params: dict, key: str) -> int:
-    value = params.get(key)
-    if value is None:
-        raise ValueError(f"missing parameter {key!r}")
-    return int(value)

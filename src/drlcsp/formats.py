@@ -133,7 +133,7 @@ def load_algebra(source: str | dict, *, validate: bool = True) -> FiniteDRL:
         tables.setdefault("meet", meet)
         tables.setdefault("join", join)
     if "residuum" not in tables:
-        tables["residuum"] = residuum_from_tables(leq, tables["join"], otimes)
+        tables["residuum"] = residuum_from_tables(leq, otimes)
 
     algebra = FiniteDRL(
         size, leq, tables["meet"], tables["join"], otimes, tables["residuum"],

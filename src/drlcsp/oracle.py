@@ -11,8 +11,10 @@ order. The values of the assignments come out in canonical row-major
 order, in chunks of at most `_CHUNK` assignments: the leading variables
 are enumerated in Python, so memory stays bounded whatever the size of
 the problem. The fold indexes the algebra's own `intp` table, so tables
-and values are `intp` arrays. Before any of that, the number of
-assignments is checked against a cap, which raises TooLarge.
+and values are `intp` arrays. A variable with one value adds no axis.
+Before any of that, the number of assignments is checked against
+DEFAULT_TUPLE_CAP, which raises TooLarge; so the fold over a problem
+with any assignment has at most 19 axes (2**20 > 10**6).
 """
 
 from __future__ import annotations
@@ -65,9 +67,9 @@ def iter_full_assignments(domain_sizes: tuple[int, ...]) -> Iterator[Assignment]
     return itertools.product(*(range(size) for size in domain_sizes))
 
 
-def _check_size(domain_sizes: tuple[int, ...], cap: int) -> None:
-    if prod(domain_sizes) > cap:
-        raise TooLarge(f"{prod(domain_sizes)} assignments exceed the cap {cap}")
+def _check_size(domain_sizes: tuple[int, ...]) -> None:
+    if prod(domain_sizes) > DEFAULT_TUPLE_CAP:
+        raise TooLarge(f"{prod(domain_sizes)} assignments exceed the cap {DEFAULT_TUPLE_CAP}")
 
 
 def _value_chunks(problem: Problem | RawProblem) -> Iterator[np.ndarray]:
@@ -80,8 +82,14 @@ def _value_chunks(problem: Problem | RawProblem) -> Iterator[np.ndarray]:
     of at most `_CHUNK` assignments.
     """
     alg = problem.algebra
-    # A problem without variables has one assignment, the empty tuple.
-    sizes = problem.domain_sizes or (1,)
+    # A variable with one value gets no axis: its coordinate is always 0, so
+    # every table keeps its row-major layout without it. With no axis left
+    # there is one assignment.
+    axis = {}
+    for v, size in enumerate(problem.domain_sizes):
+        if size != 1:
+            axis[v] = len(axis)
+    sizes = tuple(problem.domain_sizes[v] for v in axis) or (1,)
     n = len(sizes)
     cut = 0
     while prod(sizes[cut + 1:]) > _CHUNK:
@@ -92,11 +100,12 @@ def _value_chunks(problem: Problem | RawProblem) -> Iterator[np.ndarray]:
     # axis per variable from `cut` on: its own size in the scope, else 1.
     tables = []
     for c in iter_constraints(problem):
-        lead = tuple(v for v in c.scope if v < cut)
+        scope = [axis[v] for v in c.scope if v in axis]
+        lead = tuple(v for v in scope if v < cut)
         shape = [sizes[v] for v in lead]
-        shape += [sizes[v] if v in c.scope else 1 for v in range(cut, n)]
+        shape += [sizes[v] if v in scope else 1 for v in range(cut, n)]
         table = np.array(c.values, dtype=np.intp).reshape(shape)
-        tables.append((table, lead, cut in c.scope))
+        tables.append((table, lead, cut in scope))
 
     for fixed in itertools.product(*(range(size) for size in sizes[:cut])):
         for lo in range(0, sizes[cut], block):
@@ -109,9 +118,9 @@ def _value_chunks(problem: Problem | RawProblem) -> Iterator[np.ndarray]:
             yield acc.ravel()
 
 
-def brute_force_solve(problem: Problem | RawProblem, cap: int = DEFAULT_TUPLE_CAP) -> SolutionSet:
+def brute_force_solve(problem: Problem | RawProblem) -> SolutionSet:
     """Enumerate every full assignment and collect the maximal outcomes."""
-    _check_size(problem.domain_sizes, cap)
+    _check_size(problem.domain_sizes)
     alg = problem.algebra
     # The empty leading array keeps the concatenation valid when there is no assignment.
     values = np.concatenate([np.empty(0, np.intp), *_value_chunks(problem)])
@@ -125,9 +134,7 @@ def brute_force_solve(problem: Problem | RawProblem, cap: int = DEFAULT_TUPLE_CA
     return SolutionSet(optimal, solutions, inconsistent=(optimal == [alg.bottom]))
 
 
-def check_equivalent(
-    a: Problem | RawProblem, b: Problem | RawProblem, cap: int = DEFAULT_TUPLE_CAP
-) -> Counterexample | None:
+def check_equivalent(a: Problem | RawProblem, b: Problem | RawProblem) -> Counterexample | None:
     """Compare combined values on every full assignment.
 
     Returns None when the problems agree everywhere, else the first
@@ -137,7 +144,7 @@ def check_equivalent(
         raise ShapeMismatch("problems have different domains")
     if a.algebra != b.algebra:
         raise ShapeMismatch("problems use different algebras")
-    _check_size(a.domain_sizes, cap)
+    _check_size(a.domain_sizes)
     start = 0
     for va, vb in zip(_value_chunks(a), _value_chunks(b)):
         differ = np.flatnonzero(va != vb)

@@ -125,7 +125,7 @@ def test_criterion_02_residuum_uniqueness(suite):
     mismatched = [
         a.name
         for a in algebras
-        if not np.array_equal(d.residuum_from_tables(a.leq, a.join, a.otimes), a.residuum)
+        if not np.array_equal(d.residuum_from_tables(a.leq, a.otimes), a.residuum)
     ]
     _report(2, f"residuum rederivation over {len(algebras)} algebras", not mismatched)
     assert not mismatched, mismatched[:5]
@@ -158,7 +158,7 @@ def test_criterion_04_chains_are_prelinear_with_sup_residuum(suite):
         chains += 1
         if not flags.prelinear:
             failures.append((algebra.name, "chain is not prelinear"))
-        rederived = d.residuum_from_tables(algebra.leq, algebra.join, algebra.otimes)
+        rederived = d.residuum_from_tables(algebra.leq, algebra.otimes)
         if not np.array_equal(rederived, algebra.residuum):
             failures.append((algebra.name, "residuum differs from the sup formula"))
     ok = not failures and chains > 20

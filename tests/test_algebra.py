@@ -218,17 +218,16 @@ class TestResiduumDerivation:
     def test_repair_is_idempotent(self):
         for make in BUILTIN_SAMPLE:
             a = make()
-            rederived = d.residuum_from_tables(a.leq, a.join, a.otimes)
+            rederived = d.residuum_from_tables(a.leq, a.otimes)
             assert np.array_equal(rederived, a.residuum)
 
     def test_non_residuable_product_rejected(self):
         # a product that is not monotone over the chain order
         n = 3
         leq = [[i <= j for j in range(n)] for i in range(n)]
-        join = [[max(i, j) for j in range(n)] for i in range(n)]
         otimes = [[(i + j) % n for j in range(n)] for i in range(n)]
         with pytest.raises(d.ResiduationFails):
-            d.residuum_from_tables(leq, join, otimes)
+            d.residuum_from_tables(leq, otimes)
 
 
 def _sup_residuum(leq, join, otimes):
@@ -278,9 +277,9 @@ class TestResiduumAgainstSupFormula:
             expected = _sup_residuum(leq, join, otimes)
         except d.ResiduationFails:
             with pytest.raises(d.ResiduationFails):
-                d.residuum_from_tables(leq, join, otimes)
+                d.residuum_from_tables(leq, otimes)
             return False
-        assert np.array_equal(d.residuum_from_tables(leq, join, otimes), expected)
+        assert np.array_equal(d.residuum_from_tables(leq, otimes), expected)
         return True
 
     def test_builtins_and_heyting_algebras(self):
@@ -461,8 +460,6 @@ class TestBuiltins:
         lambda: d.godel_chain(1),
         lambda: d.lukasiewicz_chain(0),
         lambda: d.weighted(0),
-        lambda: d.make_builtin("godel"),
-        lambda: d.make_builtin("mystery"),
     ])
     def test_bad_params(self, bad_call):
         with pytest.raises(ValueError):
@@ -510,13 +507,6 @@ class TestBuiltins:
         with pytest.raises(d.NotDistributive):
             d.heyting_from_lattice(leq)
 
-    def test_make_builtin_dispatch(self):
-        assert d.make_builtin("weighted", n=4) == d.weighted(4)
-        assert d.make_builtin("lukasiewicz", n=3) == d.lukasiewicz_chain(3)
-        assert d.make_builtin("heyting", leq=DIAMOND) == d.heyting_from_lattice(DIAMOND)
-        prod = d.make_builtin("product", left=d.boolean(), right=d.boolean())
-        assert prod.size == 4
-
 
 class TestDirectProduct:
     def test_pairing_and_bounds(self, boolean_alg, bb_square):
@@ -538,7 +528,7 @@ class TestDirectProduct:
 
     def test_componentwise_residuum_matches_derivation(self, godel3, w4):
         p = d.direct_product(godel3, w4)
-        assert np.array_equal(d.residuum_from_tables(p.leq, p.join, p.otimes), p.residuum)
+        assert np.array_equal(d.residuum_from_tables(p.leq, p.otimes), p.residuum)
 
     def test_size_overflow(self, w10, monkeypatch):
         monkeypatch.setenv("DRL_SOFT_CARRIER_CAP", "120")

@@ -1,10 +1,28 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cli_corpus
 import drlcsp as d
 from drlcsp.cli import main
+
+# Computed by `cli_corpus.run` before the CLI printed each result in one place.
+CORPUS_DIGEST = "cad73b327232a7b0091ab2f0756a35ea7a522504c45b735f05cafd070c27d04e"
+
+DIAMOND = [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]]
+
+# `algebra make` arguments and the constructor each kind must match.
+MAKE_KINDS = {
+    "boolean": ([], d.boolean),
+    "godel": (["--n", "4"], lambda: d.godel_chain(4)),
+    "lukasiewicz": (["--n", "5"], lambda: d.lukasiewicz_chain(5)),
+    "weighted": (["--n", "3"], lambda: d.weighted(3)),
+    "heyting": (["--lattice", "diamond.json"], lambda: d.heyting_from_lattice(DIAMOND)),
+    "product": (["--left", "l3.json", "--right", "w2.json"],
+                lambda: d.direct_product(d.lukasiewicz_chain(3), d.weighted(2))),
+}
 
 
 @pytest.fixture()
@@ -36,6 +54,19 @@ class TestAlgebraCommands:
         assert main(["algebra", "classify", str(out), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert payload["variety"] == "Godel" and payload["chain"] is True
+
+    @pytest.mark.parametrize("kind", list(MAKE_KINDS))
+    def test_make_each_kind(self, tmp_path, monkeypatch, capsys, kind):
+        args, build = MAKE_KINDS[kind]
+        monkeypatch.chdir(tmp_path)
+        Path("diamond.json").write_text(json.dumps(DIAMOND))
+        Path("l3.json").write_text(d.save_algebra(d.lukasiewicz_chain(3)))
+        Path("w2.json").write_text(d.save_algebra(d.weighted(2)))
+        assert main(["algebra", "make", "--kind", kind, *args, "-o", "made.json"]) == 0
+        expected = build()
+        made = d.read_algebra("made.json")
+        assert made == expected and made.name == expected.name
+        assert capsys.readouterr().out == f"wrote {expected.name} (size {expected.size}) to made.json\n"
 
     def test_make_product(self, tmp_path):
         left = tmp_path / "b.json"
@@ -199,6 +230,26 @@ class TestPipeline:
                      "-o", str(prob)]) == 0
         assert d.read_problem(prob) == d.gen_random_problem(d.weighted(10), 4, 3, 7, 3, 11)
 
+    def test_seventy_one_value_variables(self, tmp_path, w10_file, capsys):
+        prob = tmp_path / "wide.json"
+        assert main(["gen", "--algebra", str(w10_file), "--vars", "70", "--dom", "1",
+                     "--constraints", "75", "--max-arity", "2", "--seed", "0",
+                     "-o", str(prob)]) == 0
+        capsys.readouterr()
+        assert main(["solve", "--problem", str(prob), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["solutions"] == [[0] * 70]
+        assert main(["equiv", "--a", str(prob), "--b", str(prob), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"equal": True}
+
+    def test_failed_enforce_write_prints_nothing(self, tmp_path, weighted_problem_file, capsys):
+        out = tmp_path / "missing" / "enforced.json"
+        for flags in ([], ["--counters"], ["--json"], ["--counters", "--json"]):
+            assert main(["enforce", "--problem", str(weighted_problem_file), "--k", "2",
+                         *flags, "-o", str(out)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: [Errno 2] No such file or directory")
+
     def test_matches_library_results(self, tmp_path, weighted_problem_file, capsys):
         out = tmp_path / "enf.json"
         main(["enforce", "--problem", str(weighted_problem_file), "--k", "2", "-o", str(out)])
@@ -220,3 +271,17 @@ class TestUsageErrors:
 
     def test_help_exits_0(self):
         assert main(["--help"]) == 0
+
+
+def test_frozen_corpus(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+
+    def setenv(cap):
+        if cap is None:
+            monkeypatch.delenv(cli_corpus.CAP_ENV, raising=False)
+        else:
+            monkeypatch.setenv(cli_corpus.CAP_ENV, str(cap))
+
+    count, digest = cli_corpus.run(main, setenv, lambda: tuple(capsys.readouterr()))
+    assert count >= 1000
+    assert digest == CORPUS_DIGEST

@@ -115,7 +115,7 @@ def _reference_load(text: str) -> d.FiniteDRL | None:
     otimes = tuple(map(tuple, obj["otimes"]))
     try:
         meet, join, top, bottom = d.derive_lattice(leq)
-        residuum = d.residuum_from_tables(leq, join, otimes)
+        residuum = d.residuum_from_tables(leq, otimes)
     except (d.AlgebraError, ValueError):
         return None
     derived = {"meet": meet, "join": join, "residuum": residuum}

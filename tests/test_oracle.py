@@ -86,9 +86,16 @@ class TestBruteForceSolve:
         assert result.solutions == [(1, 0)]
 
     def test_cap(self, godel3):
-        raw = d.RawProblem(godel3, (10, 10, 10), [])
+        # 101 * 100 * 100 assignments, one more percent than DEFAULT_TUPLE_CAP
+        raw = d.RawProblem(godel3, (101, 100, 100), [])
         with pytest.raises(d.TooLarge):
-            d.brute_force_solve(d.normalize(raw), cap=100)
+            d.brute_force_solve(d.normalize(raw))
+
+    def test_one_value_variables_add_no_axis(self, godel3):
+        # 70 variables would need 70 broadcast axes; numpy allows 64.
+        p = d.gen_random_problem(godel3, 70, 1, 75, 2, seed=0)
+        assert _assert_matches_reference(p, p)
+        assert d.brute_force_solve(p).solutions == [(0,) * 70]
 
     def test_chain_optimum_is_singleton(self, w10):
         for seed in range(10):
