@@ -25,7 +25,6 @@ from .enforce import (
     Counters,
     EnforcementOutcome,
     Strategy,
-    check_counter_bound,
     enforce_k_hyperarc,
     maximal_seeded,
     parse_strategy,

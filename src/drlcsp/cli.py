@@ -13,6 +13,7 @@ check; 1 usage, I/O, or parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -49,6 +50,7 @@ EXIT_DETECTED = 2
 EXIT_AXIOM = 3
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="drlcsp",

@@ -93,7 +93,12 @@ def parse_strategy(text: str) -> Strategy:
     if text == "join":
         return JOIN
     if text.startswith("maximal-seeded:"):
-        return maximal_seeded(int(text.split(":", 1)[1]))
+        try:
+            seed = int(text.split(":", 1)[1])
+        except ValueError:
+            pass
+        else:
+            return maximal_seeded(seed)
     raise ValueError(f"cannot parse strategy {text!r}")
 
 
@@ -214,15 +219,3 @@ def enforce_k_hyperarc(
             if all(v == bottom for v in work.unary(i).values):
                 return EnforcementOutcome(True, None, counters)
     return EnforcementOutcome(False, work, counters)
-
-
-def check_counter_bound(counters: Counters, n: int, d: int, e: int) -> bool:
-    """Verify the sweep's bounds: at most n visits and n*e projections.
-
-    The sweep visits each variable once and projects each stored scope
-    at most once per visited variable. These bounds are stricter than
-    the worklist form's n(d+1) visits and n(d+1)e projections, which
-    allow d re-queues per variable. `d` is kept so that callers can pass
-    the instance shape unchanged.
-    """
-    return counters.main_loop_iterations <= n and counters.project_calls <= n * e

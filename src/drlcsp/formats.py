@@ -15,7 +15,7 @@ import numpy as np
 
 from .algebra import (
     FiniteDRL,
-    carrier_cap,
+    _require_within_cap,
     check_axioms,
     derive_lattice,
     residuum_from_tables,
@@ -25,11 +25,10 @@ from .errors import (
     NotEnoughScopes,
     ParseError,
     ScopeError,
-    SizeOverflow,
     TooLarge,
     ValueOutOfRange,
 )
-from .model import Constraint, Problem, RawProblem, normalize, table_len
+from .model import Constraint, Problem, RawProblem, iter_constraints, normalize, table_len
 from .rng import SplitMix64
 
 MAX_TABLE_ENTRIES = 1_000_000
@@ -46,8 +45,8 @@ def _canonical(payload) -> str:
 # Algebras
 
 
-def save_algebra(algebra: FiniteDRL) -> str:
-    payload = {
+def _algebra_payload(algebra: FiniteDRL) -> dict:
+    return {
         "name": algebra.name,
         "size": algebra.size,
         "top": algebra.top,
@@ -58,7 +57,10 @@ def save_algebra(algebra: FiniteDRL) -> str:
         "otimes": algebra.otimes.tolist(),
         "residuum": algebra.residuum.tolist(),
     }
-    return _canonical(payload)
+
+
+def save_algebra(algebra: FiniteDRL) -> str:
+    return _canonical(_algebra_payload(algebra))
 
 
 def _int_table(table, key: str, size: int) -> list[list[int]]:
@@ -108,9 +110,7 @@ def load_algebra(source: str | dict, *, validate: bool = True) -> FiniteDRL:
     # Exact type tests refuse JSON booleans, as for the tables.
     if type(size) is not int or size < 1:
         raise ParseError("'size' must be a positive integer")
-    cap = carrier_cap()
-    if size > cap:
-        raise SizeOverflow(size, cap)
+    _require_within_cap(size)
     for key in ("top", "bottom"):
         v = obj.get(key)
         if type(v) is not int or not 0 <= v < size:
@@ -164,15 +164,12 @@ def write_algebra(algebra: FiniteDRL, path: str | Path) -> None:
 
 
 def save_problem(problem: Problem | RawProblem) -> str:
-    if isinstance(problem, Problem):
-        constraints = [problem.constraints[s] for s in sorted(problem.constraints)]
-    else:
-        constraints = list(problem.constraints)
+    # Tuples encode as the same JSON arrays as lists.
     payload = {
-        "algebra": json.loads(save_algebra(problem.algebra)),
-        "domains": list(problem.domain_sizes),
+        "algebra": _algebra_payload(problem.algebra),
+        "domains": problem.domain_sizes,
         "constraints": [
-            {"scope": list(c.scope), "values": list(c.values)} for c in constraints
+            {"scope": c.scope, "values": c.values} for c in iter_constraints(problem)
         ],
     }
     return _canonical(payload)
@@ -242,7 +239,7 @@ def load_problem_raw(
         # the set lookup alone would take for 0 and 1.
         if set(map(type, values)) != {int} or not elements.issuperset(values):
             raise ValueOutOfRange(f"scope {scope} has values outside the algebra")
-        constraints.append(Constraint(scope_t, list(values)))
+        constraints.append(Constraint(scope_t, values))
     return RawProblem(algebra, domain_sizes, constraints)
 
 

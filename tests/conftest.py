@@ -3,6 +3,15 @@ import pytest
 import drlcsp as d
 
 
+def within_counter_bound(counters, n: int, e: int) -> bool:
+    """Whether a run kept the sweep's bounds: at most n visits and n*e projections.
+
+    The sweep visits each variable once and projects each stored scope
+    at most once per visited variable.
+    """
+    return counters.main_loop_iterations <= n and counters.project_calls <= n * e
+
+
 @pytest.fixture(scope="session")
 def boolean_alg():
     return d.boolean()

@@ -16,6 +16,7 @@ import pytest
 
 import drlcsp as d
 from drlcsp.cli import main as cli_main
+from conftest import within_counter_bound
 from drlcsp.rng import SplitMix64
 from lattice_catalog import distributive_lattices
 
@@ -219,7 +220,7 @@ def test_criterion_07_counter_bounds_and_scaling(batches):
     over_budget = [
         (run.family, run.n, run.d, run.e, run.outcome.counters)
         for run in runs
-        if not d.check_counter_bound(run.outcome.counters, run.n, run.d, run.e)
+        if not within_counter_bound(run.outcome.counters, run.n, run.e)
     ]
 
     # wall-time ladder at fixed n, e, k: growth no faster than d^(k+1) within 3x

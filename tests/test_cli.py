@@ -8,8 +8,9 @@ import cli_corpus
 import drlcsp as d
 from drlcsp.cli import main
 
-# Computed by `cli_corpus.run` before the CLI printed each result in one place.
-CORPUS_DIGEST = "cad73b327232a7b0091ab2f0756a35ea7a522504c45b735f05cafd070c27d04e"
+# Computed by `cli_corpus.run` when a non-integer `maximal-seeded` seed began
+# to get "cannot parse strategy"; that record's stderr is the only change.
+CORPUS_DIGEST = "ba8064b73c8ab14c56dd04ba2441dca43f3cf33460f9a89d831e51e3abcf2279"
 
 DIAMOND = [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]]
 

@@ -10,6 +10,8 @@ from drlcsp import formats
 from drlcsp.cli import main
 from lattice_catalog import distributive_lattices
 
+_BIG_INTS = (2**63, 2**64, -(2**63) - 1)
+
 
 class TestAlgebraRoundTrip:
     @pytest.mark.parametrize("make", [
@@ -90,6 +92,9 @@ class TestAlgebraRoundTrip:
         ("otimes", -1, "'otimes' has entries outside the carrier"),
         ("leq", False, "'leq' must be a 2x2 integer table"),
         ("leq", 2, "'leq' entries must be 0 or 1"),
+        # integers outside the int64 and uint64 ranges
+        *(("otimes", big, "'otimes' has entries outside the carrier") for big in _BIG_INTS),
+        *(("leq", big, "'leq' entries must be 0 or 1") for big in _BIG_INTS),
     ])
     def test_table_entry_messages(self, boolean_alg, key, entry, message):
         obj = json.loads(d.save_algebra(boolean_alg))
@@ -243,6 +248,21 @@ class TestProblemRoundTrip:
         text = d.save_problem(weighted_example)
         loaded = d.load_problem(text)
         assert loaded == weighted_example
+        assert d.save_problem(loaded) == text
+
+    def test_raw_problem_saved_in_list_order(self, w10):
+        raw = d.RawProblem(w10, (2, 2, 2), [
+            d.Constraint((1, 2), [0, 1, 2, 3]),
+            d.Constraint((0,), [0, 1]),
+            d.Constraint((1, 2), [4, 5, 6, 7]),
+            d.Constraint((0, 1), [8, 9, 10, 0]),
+        ])
+        text = d.save_problem(raw)
+        obj = json.loads(text)
+        assert [c["scope"] for c in obj["constraints"]] == [[1, 2], [0], [1, 2], [0, 1]]
+        assert obj["algebra"] == json.loads(d.save_algebra(w10))
+        loaded = d.load_problem_raw(text)
+        assert loaded.constraints == raw.constraints
         assert d.save_problem(loaded) == text
 
     def test_duplicate_scopes_preserved_in_raw_mode(self, w10):
