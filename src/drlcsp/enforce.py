@@ -54,7 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import Problem, Scope, rows, scope_sizes
-from .rng import SplitMix64
+from .rng import SplitMix64, check_seed
 
 _STRATEGY_KINDS = ("maximal-lex", "maximal-seeded", "join")
 
@@ -76,6 +76,8 @@ class Strategy:
             raise ValueError(f"unknown strategy {self.kind!r}")
         if (self.kind == "maximal-seeded") != (self.seed is not None):
             raise ValueError("exactly the maximal-seeded strategy takes a seed")
+        if self.seed is not None:
+            check_seed(self.seed)
 
 
 MAXIMAL_LEX = Strategy("maximal-lex")
@@ -94,11 +96,9 @@ def parse_strategy(text: str) -> Strategy:
         return JOIN
     if text.startswith("maximal-seeded:"):
         try:
-            seed = int(text.split(":", 1)[1])
+            return maximal_seeded(int(text.split(":", 1)[1]))
         except ValueError:
             pass
-        else:
-            return maximal_seeded(seed)
     raise ValueError(f"cannot parse strategy {text!r}")
 
 

@@ -29,7 +29,7 @@ from .errors import (
     ValueOutOfRange,
 )
 from .model import Constraint, Problem, RawProblem, iter_constraints, normalize, table_len
-from .rng import SplitMix64
+from .rng import SplitMix64, check_seed
 
 MAX_TABLE_ENTRIES = 1_000_000
 # Upper bound on the scopes of arity 2..max_arity that the generator lists
@@ -289,6 +289,7 @@ def gen_random_problem(
         raise ValueError("e must cover the n unary constraints")
     if algebra.size < 2:
         raise ValueError("algebra must have a non-bottom element")
+    check_seed(seed)
 
     need = e - n
     pool_size = sum(comb(n, arity) for arity in range(2, max_arity + 1))

@@ -9,9 +9,20 @@ from __future__ import annotations
 _MASK = (1 << 64) - 1
 
 
+def check_seed(seed: int) -> None:
+    """Refuse a seed outside [0, 2**64), the generator's state space.
+
+    Reducing it modulo 2**64 instead would give two distinct seeds the
+    same sequence.
+    """
+    if not 0 <= seed <= _MASK:
+        raise ValueError(f"seed {seed} lies outside [0, 2**64)")
+
+
 class SplitMix64:
     def __init__(self, seed: int):
-        self._state = seed & _MASK
+        check_seed(seed)
+        self._state = seed
 
     def next_u64(self) -> int:
         self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK

@@ -219,6 +219,16 @@ class TestPipeline:
         payload = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert payload == {"assignment": [1], "equal": False, "value_a": 1, "value_b": 2}
 
+    def test_equiv_counterexample_over_seventy_variables(self, tmp_path, w10_file, capsys):
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        base = {"algebra": w10_file.name, "domains": [1] * 70}
+        a.write_text(json.dumps({**base, "constraints": [{"scope": [0], "values": [4]}]}))
+        b.write_text(json.dumps({**base, "constraints": [{"scope": [0], "values": [3]}]}))
+        assert main(["equiv", "--a", str(a), "--b", str(b), "--json"]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {"assignment": [0] * 70, "equal": False, "value_a": 4, "value_b": 3}
+
     def test_solve_output(self, weighted_problem_file, capsys):
         assert main(["solve", "--problem", str(weighted_problem_file), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out.splitlines()[-1])
@@ -230,6 +240,17 @@ class TestPipeline:
                      "--constraints", "7", "--max-arity", "3", "--seed", "11",
                      "-o", str(prob)]) == 0
         assert d.read_problem(prob) == d.gen_random_problem(d.weighted(10), 4, 3, 7, 3, 11)
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_gen_refuses_a_seed_outside_64_bits(self, tmp_path, w10_file, capsys, seed):
+        prob = tmp_path / "gen.json"
+        assert main(["gen", "--algebra", str(w10_file), "--vars", "4", "--dom", "3",
+                     "--constraints", "7", "--max-arity", "3", "--seed", seed,
+                     "-o", str(prob)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: seed {seed} lies outside [0, 2**64)\n"
+        assert not prob.exists()
 
     def test_seventy_one_value_variables(self, tmp_path, w10_file, capsys):
         prob = tmp_path / "wide.json"

@@ -14,7 +14,10 @@ class TestStrategy:
         assert d.parse_strategy("join") is d.JOIN
         assert d.parse_strategy("maximal-seeded:17") == d.maximal_seeded(17)
 
-    @pytest.mark.parametrize("text", ["", "max", "maximal-seeded", "maximal-seeded:x"])
+    @pytest.mark.parametrize("text", [
+        "", "max", "maximal-seeded", "maximal-seeded:x",
+        "maximal-seeded:-1", "maximal-seeded:18446744073709551616",
+    ])
     def test_parse_rejects(self, text):
         with pytest.raises(ValueError) as exc:
             d.parse_strategy(text)

@@ -423,6 +423,8 @@ class TestGenerator:
         (3, 2, 2, 2, 0),
         (3, 2, 5, 1, 0),
         (3, 2, 5, 4, 0),
+        (3, 2, 5, 2, -1),
+        (3, 2, 5, 2, 2**64),
     ])
     def test_bad_params(self, w10, args):
         with pytest.raises(ValueError):

@@ -226,11 +226,9 @@ class TestScalarReference:
     def test_small_problems(self, pair):
         _assert_matches_reference(*pair)
 
-    # Each shape has more than 4096 assignments, so the chunks split it: inside
-    # the domain of the first variable (2^13), of the second (3*5*7*11*13,
-    # chunks of 4004 and 1001), of a large last domain behind two of size 1,
-    # and with the leading variable enumerated (3^9).
-    # Tables of up to 4100 entries are drawn on purpose.
+    # Shapes of 5k-15k assignments: many small axes (2^13), five distinct
+    # sizes (3*5*7*11*13), one large domain behind two of size 1 whose
+    # tables have up to 4100 entries, and nine equal axes (3^9).
     @settings(
         max_examples=8,
         deadline=None,
@@ -239,7 +237,7 @@ class TestScalarReference:
     @given(_problem_pairs(
         shapes=[(2,) * 13, (3, 5, 7, 11, 13), (1, 1, 4100), (3,) * 9], max_constraints=4
     ))
-    def test_problems_split_into_chunks(self, pair):
+    def test_problems_of_thousands_of_assignments(self, pair):
         _assert_matches_reference(*pair)
 
     def test_seeded_batch_with_enforcement_outputs(self):
@@ -261,9 +259,8 @@ class TestScalarReference:
                 differ += 1
         assert equal and differ
 
-    def test_counterexample_in_a_later_chunk(self, w10):
-        # Chunks cover 4004 then 1001 assignments per value of variable 0;
-        # the only difference is at (2, 4, *), flat index 14014 of 15015.
+    def test_counterexample_near_the_end(self, w10):
+        # The only difference is at (2, 4, *): flat index 14014 of 15015.
         sizes = (3, 5, 7, 11, 13)
         a = d.RawProblem(w10, sizes, [d.Constraint((0, 1), [1] * 15)])
         b = d.RawProblem(w10, sizes, [d.Constraint((0, 1), [1] * 14 + [3])])
@@ -282,6 +279,26 @@ class TestScalarReference:
         _assert_matches_reference(raw, raw)
         _assert_matches_reference(merged, merged)
         assert d.brute_force_solve(raw).solutions == d.brute_force_solve(merged).solutions
+
+    def test_counterexample_over_more_than_64_variables(self, godel3):
+        # Seventy variables exceed the 64 dimensions numpy can unravel over.
+        a = d.RawProblem(godel3, (1,) * 70, [d.Constraint((0,), [2])])
+        b = d.RawProblem(godel3, (1,) * 70, [d.Constraint((0,), [1])])
+        assert d.check_equivalent(a, b) == d.Counterexample((0,) * 70, 2, 1)
+
+    def test_equivalence_at_the_cap_holds_both_value_arrays(self, w10):
+        # 10^6 assignments: the two folds hold 8 MB of values each.
+        sizes = (10,) * 6
+        a = d.RawProblem(w10, sizes, [d.Constraint((0, 5), list(range(10)) * 10)])
+        b = d.RawProblem(w10, sizes, [d.Constraint((0, 5), list(range(10)) * 9 + [0] * 10)])
+        tracemalloc.start()
+        try:
+            cex = d.check_equivalent(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cex == d.Counterexample((9, 0, 0, 0, 0, 1), 1, 0)
+        assert peak < 40_000_000
 
     @pytest.mark.parametrize("call", [
         lambda p: d.brute_force_solve(p),
