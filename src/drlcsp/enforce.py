@@ -40,6 +40,20 @@ A FIFO worklist makes every repeat visit after every first visit, so
 the sweep also consumes the maximal-seeded random draws of the first
 visits in the same order, and its outputs match the worklist's exactly.
 
+A projection in which every live row already holds top changes
+nothing, so `project` returns right after gathering the rows. Top is
+above every candidate, so it is the only maximal one and the join of
+its row: every strategy chooses x = top. Then u * top = u leaves the
+unary values, none of them bottom, and top -> v = v leaves the table.
+On randomly generated instances most projections are of this kind.
+The full path would still spend one maximal-seeded draw, below(1),
+per live value, so the skip spends the same draws and later choices
+stay the same.
+
+The sweep runs on a working copy whose tables are owned `intp` arrays,
+converted once from the input's lists; `project` updates them in place
+and they go back to lists of Python ints at the end.
+
 How x is chosen is configurable. On totally ordered algebras every
 choice coincides (the candidate set has a maximum); on general lattices
 the paired regression tests in the suite show that maximal-element
@@ -53,7 +67,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Problem, Scope, rows, scope_sizes
+from .model import Constraint, Problem, Scope, intp_array, rows, scope_sizes
 from .rng import SplitMix64, check_seed
 
 _STRATEGY_KINDS = ("maximal-lex", "maximal-seeded", "join")
@@ -130,7 +144,9 @@ def project(
     """Project one constraint onto one of its variables, in place.
 
     Returns True iff some unary value of `var` dropped to bottom. The
-    caller must hold exclusive access to the problem.
+    caller must hold exclusive access to the problem. Tables may be
+    lists or `intp` arrays; an array is updated in place, a list gets
+    its new values written back.
     """
     scope = tuple(scope)
     constraint = problem.constraints.get(scope)
@@ -145,12 +161,21 @@ def project(
 
     alg = problem.algebra
     unary_c = problem.unary(var)
-    table = np.array(constraint.values)
-    unary = np.array(unary_c.values)
+    table = np.asarray(constraint.values)
+    unary = np.asarray(unary_c.values)
     live = unary != alg.bottom
     sizes = scope_sizes(scope, problem.domain_sizes)
     index = rows(np.arange(table.size), sizes, scope.index(var))[live]
     cand = table[index]  # cand[r, t]: entry of tuple t at the r-th live value
+    if counters is not None:
+        counters.inner_tuple_iterations += 2 * cand.size
+
+    if (cand == alg.top).any(axis=1).all():
+        # Every strategy chooses top, which changes nothing (module docstring).
+        if strategy.kind == "maximal-seeded":
+            for _ in range(len(cand)):
+                rng.below(1)
+        return False
 
     if strategy.kind == "join":
         acc = cand
@@ -179,11 +204,11 @@ def project(
     lowered = alg.otimes[unary[live], x]
     unary[live] = lowered
     table[index] = alg.residuum[x[:, None], cand]
-    constraint.values[:] = table.tolist()
-    unary_c.values[:] = unary.tolist()
-    if counters is not None:
-        counters.inner_tuple_iterations += 2 * cand.size
-    return alg.bottom in lowered.tolist()
+    if table is not constraint.values:
+        constraint.values[:] = table.tolist()
+    if unary is not unary_c.values:
+        unary_c.values[:] = unary.tolist()
+    return bool((lowered == alg.bottom).any())
 
 
 def enforce_k_hyperarc(
@@ -200,7 +225,9 @@ def enforce_k_hyperarc(
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    work = problem.copy()
+    work = Problem(problem.algebra, problem.domain_sizes, {
+        scope: Constraint(scope, intp_array(c.values)) for scope, c in problem.constraints.items()
+    })
     bottom = work.algebra.bottom
     counters = Counters()
     rng = SplitMix64(strategy.seed) if strategy.kind == "maximal-seeded" else None
@@ -216,6 +243,8 @@ def enforce_k_hyperarc(
         for scope in scopes_by_var[i]:
             project(work, scope, i, strategy, rng=rng, counters=counters)
             counters.project_calls += 1
-            if all(v == bottom for v in work.unary(i).values):
+            if (work.unary(i).values == bottom).all():
                 return EnforcementOutcome(True, None, counters)
+    for c in work.constraints.values():
+        c.values = c.values.tolist()
     return EnforcementOutcome(False, work, counters)

@@ -29,9 +29,6 @@ class Constraint:
     scope: Scope
     values: list[int]
 
-    def copy(self) -> "Constraint":
-        return Constraint(self.scope, list(self.values))
-
 
 @dataclass
 class Problem:
@@ -47,13 +44,6 @@ class Problem:
 
     def unary(self, var: int) -> Constraint:
         return self.constraints[(var,)]
-
-    def copy(self) -> "Problem":
-        return Problem(
-            self.algebra,
-            self.domain_sizes,
-            {scope: c.copy() for scope, c in self.constraints.items()},
-        )
 
 
 @dataclass
@@ -88,6 +78,11 @@ def scope_sizes(scope: Scope, domain_sizes: tuple[int, ...]) -> tuple[int, ...]:
 
 def table_len(scope: Scope, domain_sizes: tuple[int, ...]) -> int:
     return prod(scope_sizes(scope, domain_sizes))
+
+
+def intp_array(values: list[int]) -> np.ndarray:
+    """A new `intp` array holding a table's values."""
+    return np.fromiter(values, np.intp, len(values))
 
 
 def rows(table: np.ndarray, sizes: tuple[int, ...], pos: int) -> np.ndarray:
@@ -188,12 +183,12 @@ def is_k_hyperarc_consistent(problem: Problem, k: int) -> Violation | None:
     if k < 2:
         raise ValueError("k must be at least 2")
     alg = problem.algebra
-    unary = [np.array(problem.unary(var).values)[:, None] for var in range(problem.n)]
+    unary = [intp_array(problem.unary(var).values)[:, None] for var in range(problem.n)]
     dead = [u[:, 0] == alg.bottom for u in unary]
     for scope in sorted(problem.constraints):
         if not 2 <= len(scope) <= k:
             continue
-        table = np.array(problem.constraints[scope].values)
+        table = intp_array(problem.constraints[scope].values)
         sizes = scope_sizes(scope, problem.domain_sizes)
         for pos, var in enumerate(scope):
             u = unary[var]

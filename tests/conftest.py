@@ -3,6 +3,16 @@ import pytest
 import drlcsp as d
 
 
+def clone(problem):
+    """A copy of a problem, or raw problem, with tables of its own."""
+    store = problem.constraints
+    if isinstance(store, dict):
+        tables = {scope: d.Constraint(scope, list(c.values)) for scope, c in store.items()}
+        return d.Problem(problem.algebra, problem.domain_sizes, tables)
+    tables = [d.Constraint(c.scope, list(c.values)) for c in store]
+    return d.RawProblem(problem.algebra, problem.domain_sizes, tables)
+
+
 def within_counter_bound(counters, n: int, e: int) -> bool:
     """Whether a run kept the sweep's bounds: at most n visits and n*e projections.
 

@@ -4,7 +4,8 @@ from math import comb
 import pytest
 
 import drlcsp as d
-from conftest import within_counter_bound
+from conftest import clone, within_counter_bound
+from drlcsp.model import iter_constraints
 from drlcsp.rng import SplitMix64
 
 
@@ -32,7 +33,7 @@ class TestStrategy:
 
 class TestProject:
     def test_weighted_worked_example(self, weighted_example):
-        p = weighted_example.copy()
+        p = clone(weighted_example)
         shrank = d.project(p, (0, 1), 0)
         assert shrank is False
         assert p.unary(0).values == [2, 1]
@@ -44,7 +45,7 @@ class TestProject:
             d.Constraint((0, 1), [2, 2, 2, 2]),
         ])
         p = d.normalize(raw)
-        before = p.copy()
+        before = clone(p)
         assert d.project(p, (0, 1), 0) is False
         assert p == before
 
@@ -81,9 +82,99 @@ class TestProject:
 
     def test_counters_track_tuple_visits(self, weighted_example):
         counters = d.Counters()
-        d.project(weighted_example.copy(), (0, 1), 0, counters=counters)
+        d.project(clone(weighted_example), (0, 1), 0, counters=counters)
         # 2 domain values x 2 extension tuples, visited once to choose and once to rewrite
         assert counters.inner_tuple_iterations == 8
+
+
+def _top_in_every_live_row(bb_square):
+    """Bool x Bool rows 3|1, 2|2 and 3|1 for values 0, 1, 2 of variable 0.
+
+    Value 1 is dead (unary bottom) and its row lacks top; the live rows
+    mix top with other values, so the projection onto variable 0 is a
+    no-op under every strategy. Column 1 of the table holds the
+    incomparable 1 and 2 but not top, so a seeded projection onto
+    variable 1 draws between them.
+    """
+    return d.Problem(bb_square, (3, 2), {
+        (0,): d.Constraint((0,), [1, 0, 3]),
+        (1,): d.Constraint((1,), [3, 3]),
+        (0, 1): d.Constraint((0, 1), [3, 1, 2, 2, 3, 1]),
+    })
+
+
+class TestNoopProjection:
+    @pytest.mark.parametrize("strategy", [d.MAXIMAL_LEX, d.JOIN, d.maximal_seeded(3)])
+    def test_problem_left_unchanged(self, bb_square, strategy):
+        p = _top_in_every_live_row(bb_square)
+        before = clone(p)
+        counters = d.Counters()
+        assert d.project(p, (0, 1), 0, strategy, counters=counters) is False
+        assert p == before
+        # the skipped projection still counts the entries of its two live rows
+        assert counters.inner_tuple_iterations == 2 * 2 * 2
+
+    def test_seeded_skip_draws_once_per_live_value(self, bb_square):
+        moved = 0
+        for seed in range(12):
+            p = _top_in_every_live_row(bb_square)
+            rng = SplitMix64(seed)
+            d.project(p, (0, 1), 0, d.maximal_seeded(seed), rng=rng)
+            expected = SplitMix64(seed)
+            for _ in range(2):  # the full path draws below(1) for each live value
+                assert expected.below(1) == 0
+            d.project(p, (0, 1), 1, d.maximal_seeded(seed), rng=rng)
+
+            full = _top_in_every_live_row(bb_square)
+            d.project(full, (0, 1), 1, d.maximal_seeded(seed), rng=expected)
+            assert p == full
+            assert rng.next_u64() == expected.next_u64()
+
+            unmoved = _top_in_every_live_row(bb_square)
+            d.project(unmoved, (0, 1), 1, d.maximal_seeded(seed), rng=SplitMix64(seed))
+            moved += unmoved != full
+        # the draws matter: without them some later choice would differ
+        assert moved > 0
+
+
+def _output_cases(algebras):
+    for alg in algebras:
+        for seed in range(6):
+            problem = d.gen_random_problem(alg, 4, 3, 7, 3, seed)
+            for strategy in (d.MAXIMAL_LEX, d.maximal_seeded(seed), d.JOIN):
+                for k in (2, 3):
+                    yield problem, k, strategy
+
+
+class TestOutputTables:
+    def test_lists_of_python_ints_and_no_aliasing(self, luk3, bb_square):
+        kinds = set()
+        for problem, k, strategy in _output_cases([luk3, bb_square]):
+            before = clone(problem)
+            out = d.enforce_k_hyperarc(problem, k, strategy)
+            assert problem == before
+            if out.inconsistent:
+                continue
+            kinds.add((problem.algebra.size, k, strategy.kind))
+            for scope, c in out.problem.constraints.items():
+                assert type(c.values) is list
+                assert all(type(v) is int for v in c.values)
+                assert c.values is not problem.constraints[scope].values
+            raw = d.load_problem_raw(d.save_problem(out.problem), algebra=problem.algebra)
+            assert raw.domain_sizes == out.problem.domain_sizes
+            assert [(c.scope, c.values) for c in raw.constraints] == [
+                (c.scope, c.values) for c in iter_constraints(out.problem)
+            ]
+        assert len(kinds) == 2 * 2 * 3  # every algebra, k and strategy ended consistent at least once
+
+    def test_public_project_keeps_lists(self, luk3, bb_square):
+        for problem, k, strategy in _output_cases([luk3, bb_square]):
+            for scope in sorted(problem.constraints):
+                if len(scope) >= 2:
+                    d.project(problem, scope, scope[0], strategy)
+            for c in problem.constraints.values():
+                assert type(c.values) is list
+                assert all(type(v) is int for v in c.values)
 
 
 class TestEnforce:
@@ -100,7 +191,7 @@ class TestEnforce:
         assert out.counters.project_calls == 4  # sum of scope arities
 
     def test_input_problem_is_not_mutated(self, weighted_example):
-        snapshot = weighted_example.copy()
+        snapshot = clone(weighted_example)
         d.enforce_k_hyperarc(weighted_example, 2)
         assert weighted_example == snapshot
 

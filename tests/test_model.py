@@ -4,6 +4,7 @@ import random
 import pytest
 
 import drlcsp as d
+from conftest import clone
 
 
 class TestNormalize:
@@ -61,7 +62,7 @@ class TestNormalize:
         ])
         once = d.normalize(raw)
         again = d.normalize(d.RawProblem(once.algebra, once.domain_sizes,
-                                         [c.copy() for c in once.constraints.values()]))
+                                         list(clone(once).constraints.values())))
         assert again == once
 
     def test_preserves_surviving_combined_values(self, w4):

@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import drlcsp as d
+from conftest import clone
 from drlcsp.model import table_len
 from drlcsp.rng import SplitMix64
 
@@ -211,7 +212,7 @@ def _problem_pairs(draw, shapes=None, max_constraints=6):
         values = draw(st.lists(st.integers(0, algebra.size - 1), min_size=length, max_size=length))
         constraints.append(d.Constraint(scope, values))
     a = d.RawProblem(algebra, sizes, constraints)
-    altered = [c.copy() for c in constraints]
+    altered = clone(a).constraints
     if altered and draw(st.booleans()):
         c = altered[draw(st.integers(0, len(altered) - 1))]
         c.values[draw(st.integers(0, len(c.values) - 1))] = draw(
