@@ -212,6 +212,11 @@ def load_problem_raw(
         raise ParseError("'domains' must be a nonempty list of positive sizes")
     domain_sizes = tuple(domains)
     n = len(domain_sizes)
+    # `normalize` builds a unary table for every variable, so the sizes
+    # together bound the entries it allocates before any constraint is read.
+    unary_entries = sum(domain_sizes)
+    if unary_entries > MAX_TABLE_ENTRIES:
+        raise TooLarge(f"unary tables of {unary_entries} entries exceed the cap {MAX_TABLE_ENTRIES}")
 
     entries = obj.get("constraints")
     if not isinstance(entries, list):
@@ -278,8 +283,9 @@ def gen_random_problem(
     uniformly without replacement from the scopes of arity 2..max_arity,
     with table values uniform over the whole carrier. The same inputs
     always produce the identical problem. TooLarge is raised, before the
-    work it bounds, when the scope pool exceeds MAX_SCOPE_POOL or a
-    table exceeds MAX_TABLE_ENTRIES (which the loader would refuse).
+    work it bounds, when the scope pool exceeds MAX_SCOPE_POOL, or a
+    table or the n unary tables together exceed MAX_TABLE_ENTRIES (which
+    the loader would refuse).
     """
     if n < 1 or d < 1:
         raise ValueError("need at least one variable and one domain value")
@@ -299,6 +305,8 @@ def gen_random_problem(
         raise TooLarge(f"{pool_size} candidate scopes exceed the cap {MAX_SCOPE_POOL}")
     if d > MAX_TABLE_ENTRIES:
         raise TooLarge(f"table for scope [0] needs {d} entries")
+    if n * d > MAX_TABLE_ENTRIES:
+        raise TooLarge(f"unary tables of {n * d} entries exceed the cap {MAX_TABLE_ENTRIES}")
 
     rng = SplitMix64(seed)
     domain_sizes = (d,) * n

@@ -3,18 +3,25 @@
 Everything here enumerates every full assignment; the enforcement
 algorithm is validated against it. `model.combined_value`, which folds
 the combination product over the constraints one assignment at a time,
-is the reference. Here the same fold runs over all assignments at once:
-starting from top, each constraint table, reshaped so that its axes line
-up with the variables of its scope and broadcast over the rest, is
-combined in with `acc = otimes[acc, table]`, in `iter_constraints`
-order. The values of the assignments come out in canonical row-major
-order. The fold indexes the algebra's own `intp` table, so tables and
-values are `intp` arrays. A variable with one value adds no axis.
-Before any of that, the number of assignments is checked against
-DEFAULT_TUPLE_CAP, which raises TooLarge. So one fold covers the whole
-problem in at most 10**6 `intp` values (about 8 MB per array), and has
-at most 19 axes (2**20 > 10**6); `check_equivalent` holds the values of
-both problems.
+in `iter_constraints` order, is the reference. Here the same product is
+taken over all assignments at once. Each constraint table, reshaped so
+that its axes line up with the variables of its scope and broadcast over
+the rest, is combined in with `acc = otimes[acc, table]`, starting from
+the scalar top. The tables go in a stable sort by their last variable,
+an empty scope first. On a DRL, ⊗ is a commutative monoid (the validated
+load checks `otimes-commutative` and `otimes-associative`), so the order
+does not change any assignment's product. It does bound the work: after
+the tables whose last variable is k, `acc` spans at most the variables
+0..k, so only the tables ending at the last variables are combined at
+full size. One broadcast assignment then writes `acc` over all
+assignments, which also covers the variables no table mentions. The
+values of the assignments come out in canonical row-major order. The
+fold indexes the algebra's own `intp` table, so tables and values are
+`intp` arrays. A variable with one value adds no axis. Before any of
+that, the number of assignments is checked against DEFAULT_TUPLE_CAP,
+which raises TooLarge. So one fold covers the whole problem in at most
+10**6 `intp` values (about 8 MB per array), and has at most 19 axes
+(2**20 > 10**6); `check_equivalent` holds the values of both problems.
 """
 
 from __future__ import annotations
@@ -81,14 +88,16 @@ def _values(problem: Problem | RawProblem) -> np.ndarray:
         if size != 1:
             axis[v] = len(axis)
     sizes = [problem.domain_sizes[v] for v in axis]
-    acc = np.full(sizes, alg.top, dtype=np.intp)
-    for c in iter_constraints(problem):
+    acc = np.intp(alg.top)
+    for c in sorted(iter_constraints(problem), key=lambda c: c.scope[-1:]):
         shape = [1] * len(sizes)
         for v in c.scope:
             if v in axis:
                 shape[axis[v]] = sizes[axis[v]]
         acc = alg.otimes[acc, np.array(c.values, dtype=np.intp).reshape(shape)]
-    return acc.ravel()
+    out = np.empty(sizes, dtype=np.intp)
+    out[...] = acc
+    return out.ravel()
 
 
 def brute_force_solve(problem: Problem | RawProblem) -> SolutionSet:

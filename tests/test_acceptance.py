@@ -329,3 +329,102 @@ def test_criterion_10_cli_weighted_worked_example(tmp_path, capsys):
 
     _report(10, "CLI pipeline reproduces the hand-derived weighted tables", not failures)
     assert not failures, failures
+
+
+# ---------------------------------------------------------------------------
+# Result (i), second half: fair valuation structures are BL-algebras
+
+
+def _cost_monoids(m: int):
+    """Every commutative monotone monoid on the costs 0 < 1 < ... < m-1.
+
+    0 is the identity and m-1, the top cost, is absorbing. Monotonicity
+    and the identity give a + b >= max(a, b), so only the entries with
+    both costs strictly between 0 and m-1 are free, each in [max(a, b), m-1].
+    """
+    top = m - 1
+    cells = [(a, b) for a in range(1, top) for b in range(a, top)]
+    for choice in itertools.product(*(range(b, m) for _, b in cells)):
+        table = np.zeros((m, m), dtype=int)
+        table[0, :] = table[:, 0] = range(m)
+        table[top, :] = table[:, top] = top
+        for (a, b), v in zip(cells, choice):
+            table[a, b] = table[b, a] = v
+        monotone = (np.diff(table, axis=0) >= 0).all()
+        if monotone and (table[table, :] == table[:, table]).all():
+            yield table
+
+
+def _differences(table: np.ndarray, alpha: int, beta: int) -> list[int]:
+    """The costs g with alpha + g = beta (the differences of beta and alpha)."""
+    return [g for g in range(len(table)) if table[alpha, g] == beta]
+
+
+def _valuation_structure(table: np.ndarray, name: str) -> dict:
+    """A cost monoid as an algebra payload: the cost order reversed, otimes the sum."""
+    m = len(table)
+    return {
+        "name": name, "size": m, "top": 0, "bottom": m - 1,
+        "leq": [[int(x >= y) for y in range(m)] for x in range(m)],
+        "otimes": table.tolist(),
+    }
+
+
+def test_criterion_11_fair_valuation_structures_are_bl():
+    # Cooper & Schiex call a valuation structure fair when every beta >= alpha
+    # has a maximum difference g (alpha + g = beta). On a finite chain that
+    # is the existence of a difference. The fair difference compared with the
+    # residuum is the greatest difference in the loaded order: the least cost.
+    failures = []
+    counts = {}
+    for m in range(1, 6):
+        monoids = fair = 0
+        pairs = [(a, b) for a in range(m) for b in range(a, m)]
+        for i, table in enumerate(_cost_monoids(m)):
+            monoids += 1
+            is_fair = all(_differences(table, a, b) for a, b in pairs)
+            fair += is_fair
+            try:
+                algebra = d.load_algebra(_valuation_structure(table, f"costs{m}-{i}"))
+            except d.AxiomViolation as exc:
+                if is_fair:
+                    failures.append((m, table.tolist(), str(exc)))
+                    continue
+                # The witness is an unfair pair: cost y above x with no difference.
+                [check] = exc.report.failures()
+                x, y, _ = check.counterexample
+                if check.axiom != "divisibility" or x >= y or _differences(table, x, y):
+                    failures.append((m, table.tolist(), check))
+                continue
+            if not is_fair:
+                failures.append((m, table.tolist(), "unfair monoid loaded"))
+                continue
+            if not d.classify(algebra).prelinear:
+                failures.append((m, table.tolist(), "not BL"))
+            # alpha -> beta is top (cost 0) when beta costs no more than alpha.
+            minus = [[min(_differences(table, a, b)) if a <= b else 0 for b in range(m)]
+                     for a in range(m)]
+            if algebra.residuum.tolist() != minus:
+                failures.append((m, table.tolist(), "residuum differs from the fair difference"))
+        counts[m] = (monoids, fair)
+
+    truncated = np.minimum(np.add.outer(range(4), range(4)), 3)
+    mv = d.load_algebra(_valuation_structure(truncated, "truncated-sum-4"))
+    if d.classify(mv).variety_name != "MV":
+        failures.append(("truncated sum", d.classify(mv)))
+    if mv.residuum.tolist() != [[max(0, b - a) for b in range(4)] for a in range(4)]:
+        failures.append(("truncated sum", "residuum is not max(0, b - a)"))
+
+    costs = np.arange(4)
+    drastic = np.where(np.minimum.outer(costs, costs) == 0, np.maximum.outer(costs, costs), 3)
+    try:
+        d.load_algebra(_valuation_structure(drastic, "drastic-4"))
+        failures.append(("drastic", "loaded"))
+    except d.AxiomViolation as exc:
+        if str(exc) != "axiom check failed: divisibility":
+            failures.append(("drastic", str(exc)))
+
+    ok = not failures and counts[5] == (22, 8)
+    _report(11, f"fair cost monoids load as BL-algebras {counts}", ok)
+    assert counts[5] == (22, 8)
+    assert not failures, failures

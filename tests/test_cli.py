@@ -272,6 +272,18 @@ class TestPipeline:
             assert captured.out == ""
             assert captured.err.startswith("error: [Errno 2] No such file or directory")
 
+    def test_enforce_refuses_domains_past_the_unary_cap(self, tmp_path, w10_file, capsys):
+        prob = tmp_path / "wide.json"
+        prob.write_text(json.dumps({
+            "algebra": w10_file.name, "domains": [600_000, 600_000], "constraints": [],
+        }))
+        out = tmp_path / "enforced.json"
+        assert main(["enforce", "--problem", str(prob), "--k", "2", "-o", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unary tables of 1200000 entries exceed the cap 1000000\n"
+        assert not out.exists()
+
     def test_matches_library_results(self, tmp_path, weighted_problem_file, capsys):
         out = tmp_path / "enf.json"
         main(["enforce", "--problem", str(weighted_problem_file), "--k", "2", "-o", str(out)])

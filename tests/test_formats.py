@@ -357,6 +357,33 @@ class TestProblemRoundTrip:
             d.load_problem_raw(json.dumps(obj))
         assert str(info.value) == message
 
+    def test_domains_past_the_unary_cap_refused_before_allocating(self, w10):
+        # Normalizing would build a top-filled unary table of 1.2 * 10^6
+        # entries in all, for two variables no constraint mentions.
+        text = json.dumps({
+            "algebra": json.loads(d.save_algebra(w10)),
+            "domains": [600_000, 600_000],
+            "constraints": [],
+        })
+        for load in (d.load_problem_raw, d.load_problem):
+            tracemalloc.start()
+            try:
+                with pytest.raises(d.TooLarge) as info:
+                    load(text)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 1_000_000
+            assert str(info.value) == "unary tables of 1200000 entries exceed the cap 1000000"
+
+    def test_domains_at_the_unary_cap_load(self, w10):
+        text = json.dumps({
+            "algebra": json.loads(d.save_algebra(w10)),
+            "domains": [500_000, 500_000],
+            "constraints": [],
+        })
+        assert d.load_problem_raw(text).domain_sizes == (500_000, 500_000)
+
 
 class TestCarrierCap:
     def test_oversized_algebra_refused_before_tables_are_read(self, godel3, monkeypatch):
@@ -405,8 +432,9 @@ class TestGenerator:
     @pytest.mark.parametrize("args", [
         (2, 1001, 3, 2, 0),
         (2, 1_000_001, 2, 2, 0),
+        (3, 400_000, 3, 2, 0),
         (400, 2, 401, 4, 0),
-    ], ids=["table", "unary-table", "scope-pool"])
+    ], ids=["table", "unary-table", "unary-tables", "scope-pool"])
     def test_too_large_refused_before_allocating(self, w10, args):
         tracemalloc.start()
         try:

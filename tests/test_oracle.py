@@ -260,6 +260,48 @@ class TestScalarReference:
                 differ += 1
         assert equal and differ
 
+    def test_big_certify_shape_with_enforcement_outputs(self):
+        """4^7 assignments and 16 tables: the fold runs most tables below full size."""
+        equal = differ = 0
+        for seed, algebra in enumerate(_ALGEBRAS):
+            problem = d.gen_random_problem(algebra, 7, 4, 16, 3, seed)
+            for strategy in (d.MAXIMAL_LEX, d.JOIN, d.maximal_seeded(seed)):
+                out = d.enforce_k_hyperarc(problem, 2, strategy)
+                other = problem if out.inconsistent else out.problem
+                if _assert_matches_reference(other, problem):
+                    equal += 1
+                else:
+                    differ += 1
+        assert equal and differ
+
+    def test_tables_listed_against_last_variable_order(self):
+        # Sizes 2, 1, 3, 4, 2: variable 1 has one value and variable 3 is in
+        # no table. The list runs from the last variable down to the empty
+        # scope, with (0, 2) twice, so the fold reorders nearly every table.
+        # Half the entries are top, so few assignments combine to bottom; a
+        # bottom empty-scope table then changes every assignment that does not.
+        scopes = [(2, 4), (0, 1, 4), (0, 2), (1, 2), (0, 2), (0, 1), (0,), ()]
+        sizes = (2, 1, 3, 4, 2)
+        keys = [scope[-1:] for scope in scopes]
+        assert keys == sorted(keys, reverse=True)
+        differ = 0
+        for seed, algebra in enumerate(_ALGEBRAS):
+            rng = SplitMix64(seed)
+            constraints = []
+            for scope in scopes:
+                values = [rng.below(algebra.size) for _ in range(table_len(scope, sizes))]
+                top_mask = [rng.below(2) for _ in values]
+                constraints.append(d.Constraint(
+                    scope, [algebra.top if m else v for v, m in zip(values, top_mask)]
+                ))
+            raw = d.RawProblem(algebra, sizes, constraints)
+            altered = clone(raw)
+            altered.constraints[-1].values[0] = algebra.bottom
+            assert _assert_matches_reference(raw, raw)
+            differ += not _assert_matches_reference(raw, altered)
+            _assert_matches_reference(altered, raw)
+        assert differ
+
     def test_counterexample_near_the_end(self, w10):
         # The only difference is at (2, 4, *): flat index 14014 of 15015.
         sizes = (3, 5, 7, 11, 13)
