@@ -34,8 +34,8 @@ from .errors import AlgebraError, FormatError, ParseError
 from .formats import (
     gen_random_problem,
     load_algebra,
-    parse_leq,
     read_algebra,
+    read_lattice,
     read_problem,
     read_problem_raw,
     write_algebra,
@@ -122,18 +122,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_lattice_file(path: str):
-    try:
-        obj = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in {path}: {exc}") from exc
-    if isinstance(obj, dict):
-        obj = obj.get("leq")
-    if not isinstance(obj, list):
-        raise ParseError(f"{path} must hold an order table (or an object with 'leq')")
-    return parse_leq(obj, len(obj))
-
-
 def _cmd_algebra_make(args):
     if args.kind == "product":
         if not args.left or not args.right:
@@ -142,7 +130,7 @@ def _cmd_algebra_make(args):
     elif args.kind == "heyting":
         if not args.lattice:
             raise ParseError("heyting needs --lattice")
-        made = heyting_from_lattice(_load_lattice_file(args.lattice))
+        made = heyting_from_lattice(read_lattice(args.lattice))
     elif args.kind == "boolean":
         made = boolean()
     else:

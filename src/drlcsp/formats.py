@@ -1,7 +1,11 @@
 """JSON interchange for algebras and problems, plus random instances.
 
 Canonical output is a single line of JSON with sorted keys and no
-floats, terminated by a newline, so round-trips are byte-identical.
+floats, terminated by a newline, so round-trips are byte-identical:
+the text `json.dumps(payload, sort_keys=True, separators=(",", ":"))`
+writes, plus the newline. orjson reads and writes every file; the
+stdlib json module handles only the documents orjson would treat
+differently.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from math import comb
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .algebra import (
     FiniteDRL,
@@ -22,6 +27,7 @@ from .algebra import (
 )
 from .errors import (
     AxiomViolation,
+    FormatError,
     NotEnoughScopes,
     ParseError,
     ScopeError,
@@ -37,8 +43,65 @@ MAX_TABLE_ENTRIES = 1_000_000
 MAX_SCOPE_POOL = 1_000_000
 
 
+# orjson 3.8 decodes nested arrays and objects by recursion with no depth
+# limit, taking about 64 bytes of C stack per array level and 160 per
+# object level, so a deeply nested text overflows the stack and kills the
+# process where json raises RecursionError. Every level opens a bracket,
+# so a text whose "[" count plus three times its "{" count is at most this
+# bound needs at most 512 KiB of stack in orjson; json alone decodes any
+# other text.
+_ORJSON_MAX_NESTING = 8192
+
+_ORJSON_OPTIONS = orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY | orjson.OPT_APPEND_NEWLINE
+
+
+def _plain(obj):
+    """json's fallback for what orjson writes natively: arrays and numpy scalars."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _canonical(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    # orjson escapes quotes, backslashes and control characters as json
+    # does, but writes U+007F and up as UTF-8 where json writes \uXXXX;
+    # only a `name` can hold such a character. So orjson's text is json's
+    # when it is ASCII without U+007F. json also writes what orjson
+    # refuses: integers outside 64 bits, lone surrogates and
+    # non-contiguous arrays.
+    try:
+        text = orjson.dumps(payload, option=_ORJSON_OPTIONS).decode()
+    except orjson.JSONEncodeError:
+        pass
+    else:
+        if text.isascii() and "\x7f" not in text:
+            return text
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"), default=_plain) + "\n"
+
+
+def _decoded(text: str, build, where: str = ""):
+    """`build` applied to the JSON value `text` holds.
+
+    orjson decodes first. It reads integers outside [-2**63, 2**64) as
+    floats and refuses NaN, the infinities, 1e400 and lone surrogates,
+    where json accepts them; on anything else the two agree. The schema
+    refuses all of those values and type-tests every field before its
+    range, so when orjson or `build` (with a FormatError) refuses, json
+    decodes the text again and `build` runs again: a refused document
+    gets the same exception and message as with json alone. Text that
+    is not JSON, or is nested too deeply for json, raises ParseError
+    ("invalid JSON" plus `where`).
+    """
+    if text.count("[") + 3 * text.count("{") <= _ORJSON_MAX_NESTING:
+        try:
+            return build(orjson.loads(text))
+        except (orjson.JSONDecodeError, FormatError):
+            pass
+    try:
+        obj = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ParseError(f"invalid JSON{where}: {exc}") from exc
+    return build(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -51,11 +114,11 @@ def _algebra_payload(algebra: FiniteDRL) -> dict:
         "size": algebra.size,
         "top": algebra.top,
         "bottom": algebra.bottom,
-        "leq": algebra.leq.astype(np.uint8).tolist(),
-        "meet": algebra.meet.tolist(),
-        "join": algebra.join.tolist(),
-        "otimes": algebra.otimes.tolist(),
-        "residuum": algebra.residuum.tolist(),
+        "leq": algebra.leq.view(np.uint8),
+        "meet": algebra.meet,
+        "join": algebra.join,
+        "otimes": algebra.otimes,
+        "residuum": algebra.residuum,
     }
 
 
@@ -86,8 +149,8 @@ def parse_leq(table, size: int) -> np.ndarray:
 def load_algebra(source: str | dict, *, validate: bool = True) -> FiniteDRL:
     """Parse an algebra, deriving any absent meet/join/residuum tables.
 
-    `source` is the JSON text, or the dict that `json.loads` made of it
-    (an inline algebra of a problem file). Only absent tables are
+    `source` is the JSON text, or the object decoded from it (an inline
+    algebra of a problem file). Only absent tables are
     derived: `derive_lattice` when meet or join is missing,
     `residuum_from_tables` when the residuum is. With validate=True (the
     default) the result, with the file's own tables and declared top and
@@ -98,12 +161,11 @@ def load_algebra(source: str | dict, *, validate: bool = True) -> FiniteDRL:
     refusing to load.
     """
     if isinstance(source, dict):
-        obj = source
-    else:
-        try:
-            obj = json.loads(source)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}") from exc
+        return _algebra_from_obj(source, validate)
+    return _decoded(source, lambda obj: _algebra_from_obj(obj, validate))
+
+
+def _algebra_from_obj(obj, validate: bool) -> FiniteDRL:
     if not isinstance(obj, dict):
         raise ParseError("algebra payload must be an object")
     size = obj.get("size")
@@ -151,6 +213,19 @@ def _check_entries(table, size: int, key: str) -> None:
         raise ParseError(f"{key!r} has entries outside the carrier")
 
 
+def read_lattice(path: str | Path) -> np.ndarray:
+    """Read an order table, bare or under "leq", from a JSON file; return it as bools."""
+
+    def build(obj) -> np.ndarray:
+        if isinstance(obj, dict):
+            obj = obj.get("leq")
+        if not isinstance(obj, list):
+            raise ParseError(f"{path} must hold an order table (or an object with 'leq')")
+        return parse_leq(obj, len(obj))
+
+    return _decoded(Path(path).read_text(), build, f" in {path}")
+
+
 def read_algebra(path: str | Path) -> FiniteDRL:
     return load_algebra(Path(path).read_text())
 
@@ -184,10 +259,10 @@ def load_problem_raw(
     from the payload's "algebra" field (an inline object or a path to an
     algebra file, resolved against `base_dir`).
     """
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
+    return _decoded(text, lambda obj: _problem_from_obj(obj, algebra, base_dir))
+
+
+def _problem_from_obj(obj, algebra: FiniteDRL | None, base_dir: str | Path | None) -> RawProblem:
     if not isinstance(obj, dict):
         raise ParseError("problem payload must be an object")
 

@@ -306,6 +306,19 @@ class TestUsageErrors:
     def test_help_exits_0(self):
         assert main(["--help"]) == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--problem", "deep.json"],
+        ["algebra", "make", "--kind", "heyting", "--lattice", "deep.json", "-o", "h.json"],
+    ], ids=["problem", "lattice"])
+    def test_deeply_nested_file_is_one_error_line(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        Path("deep.json").write_text("[" * 200_000 + "]" * 200_000)
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: invalid JSON") and err.count("\n") == 1
+        assert "maximum recursion depth exceeded" in err
+
 
 def test_frozen_corpus(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)

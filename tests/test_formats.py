@@ -1,13 +1,17 @@
+import dataclasses
 import json
 import random
+import threading
 import tracemalloc
 
 import numpy as np
+import orjson
 import pytest
 
 import drlcsp as d
 from drlcsp import formats
 from drlcsp.cli import main
+from drlcsp.model import iter_constraints
 from lattice_catalog import distributive_lattices
 
 _BIG_INTS = (2**63, 2**64, -(2**63) - 1)
@@ -393,6 +397,9 @@ class TestCarrierCap:
         # The cap is checked first: malformed tables are never looked at.
         with pytest.raises(d.SizeOverflow):
             d.load_algebra(json.dumps({"size": 3, "top": 2, "bottom": 0}), validate=False)
+        # orjson reads a size past 64 bits as a float; it is still over the cap.
+        with pytest.raises(d.SizeOverflow):
+            d.load_algebra(json.dumps({"size": 2**64, "top": 0, "bottom": 0}))
         monkeypatch.setenv("DRL_SOFT_CARRIER_CAP", "3")
         assert d.load_algebra(d.save_algebra(godel3)) == godel3
 
@@ -464,3 +471,204 @@ class TestGenerator:
             p = d.gen_random_problem(algebra, 4, 3, 7, 3, seed)
             text = d.save_problem(p)
             assert d.load_problem(text) == p
+
+
+# ---------------------------------------------------------------------------
+# The orjson codec against stdlib json
+
+_DEEP = "[" * 200_000 + "]" * 200_000
+
+
+def _json_canonical(payload) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _list_payload(algebra: d.FiniteDRL) -> dict:
+    """The algebra payload with every table as nested lists of ints."""
+    payload = {key: getattr(algebra, key) for key in ("name", "size", "top", "bottom")}
+    payload["leq"] = algebra.leq.astype(np.uint8).tolist()
+    for key in ("meet", "join", "otimes", "residuum"):
+        payload[key] = getattr(algebra, key).tolist()
+    return payload
+
+
+def _codec_algebras():
+    b, g3, l4, w3 = d.boolean(), d.godel_chain(3), d.lukasiewicz_chain(4), d.weighted(3)
+    return [
+        b, g3, l4, w3, d.godel_chain(2), d.lukasiewicz_chain(7), d.weighted(1),
+        *(d.heyting_from_lattice(leq) for _, leq in distributive_lattices(5)),
+        d.direct_product(b, b), d.direct_product(g3, l4), d.direct_product(l4, w3),
+        d.direct_product(d.direct_product(b, g3), w3),
+    ]
+
+
+_NAMES = ["Łuk", "é", "\x7f", "😀", "\ud800", "\x00\x01\x1f\b\t\n\f\r", 'a "quoted" \\ name', "~"]
+
+
+class TestCanonicalWriter:
+    """orjson writes the text json.dumps would, byte for byte."""
+
+    @pytest.mark.parametrize("algebra", _codec_algebras(), ids=lambda a: a.name)
+    def test_algebras(self, algebra):
+        assert d.save_algebra(algebra) == _json_canonical(_list_payload(algebra))
+
+    @pytest.mark.parametrize("name", _NAMES, ids=ascii)
+    def test_names(self, name):
+        algebra = dataclasses.replace(d.lukasiewicz_chain(3), name=name)
+        text = d.save_algebra(algebra)
+        assert text == _json_canonical(_list_payload(algebra))
+        assert text.isascii()
+        assert d.load_algebra(text).name == name
+
+    def test_generated_problems(self):
+        for seed, algebra in enumerate(_codec_algebras()):
+            if algebra.size < 2:
+                continue
+            problem = d.gen_random_problem(algebra, 4, 3, 8, 3, seed)
+            payload = {
+                "algebra": _list_payload(algebra),
+                "domains": list(problem.domain_sizes),
+                "constraints": [{"scope": list(c.scope), "values": list(c.values)}
+                                for c in iter_constraints(problem)],
+            }
+            assert d.save_problem(problem) == _json_canonical(payload)
+
+    @pytest.mark.parametrize("big", _BIG_INTS)
+    def test_integers_past_64_bits(self, big):
+        payload = {"size": big, "rows": [[0, big], [-big, 1]], "name": "x"}
+        assert formats._canonical(payload) == _json_canonical(payload)
+
+    def test_non_contiguous_array(self):
+        table = np.arange(6).reshape(2, 3).T
+        assert not table.flags.c_contiguous
+        assert formats._canonical({"t": table}) == _json_canonical({"t": table.tolist()})
+
+    def test_unserialisable_value_raises_type_error(self):
+        with pytest.raises(TypeError, match="Object of type set is not JSON serializable"):
+            formats._canonical({"values": {1}})
+
+
+def _marked(obj: dict, path: tuple) -> str:
+    """JSON text of `obj` with the value at `path` replaced by the marker @@."""
+    obj = json.loads(json.dumps(obj))
+    *head, last = path
+    inner = obj
+    for key in head:
+        inner = inner[key]
+    inner[last] = "@@"
+    return json.dumps(obj)
+
+
+def _outcome(load, text: str):
+    """The loaded value with its algebra's name, or the exception type and message."""
+    try:
+        value = load(text)
+    except Exception as exc:  # every refusal is compared
+        return type(exc), str(exc)
+    algebra = value if isinstance(value, d.FiniteDRL) else value.algebra
+    return value, algebra.name
+
+
+def _refuse(*args, **kwargs):
+    raise orjson.JSONDecodeError("refused", "", 0)
+
+
+# JSON tokens that orjson and json decode differently, plus two that
+# they decode alike (2**63 and 1.5) as a control.
+_TOKENS = ["NaN", "Infinity", "-Infinity", "1e400", "-1e400", str(2**64), str(-(2**63) - 1),
+           str(10**30), str(2**63), "1.5", '"\\ud800"']
+
+_BASE_ALGEBRA = d.save_algebra(d.direct_product(d.boolean(), d.godel_chain(3)))
+_BASE_PROBLEM = {
+    "algebra": json.loads(_BASE_ALGEBRA),
+    "domains": [2, 3],
+    "constraints": [{"scope": [0], "values": [1, 5]}, {"scope": [0, 1], "values": [0, 1, 2, 3, 4, 5]}],
+}
+
+
+class TestStdlibReference:
+    """Each load gives what it would with json alone: the same value, or
+    the same exception and message."""
+
+    def _assert_same(self, monkeypatch, load, texts):
+        outcomes = [_outcome(load, text) for text in texts]
+        with monkeypatch.context() as m:
+            m.setattr(formats.orjson, "loads", _refuse)
+            reference = [_outcome(load, text) for text in texts]
+        for text, got, want in zip(texts, outcomes, reference):
+            assert got == want, text
+
+    @pytest.mark.parametrize("path", [
+        ("size",), ("top",), ("bottom",), ("name",), ("leq", 1, 0), ("meet", 0, 0),
+        ("join", 2, 3), ("otimes", 5, 5), ("residuum", 0, 1), ("extra",),
+    ], ids=str)
+    def test_algebra_fields(self, monkeypatch, path):
+        marked = _marked(json.loads(_BASE_ALGEBRA), path)
+        self._assert_same(monkeypatch, d.load_algebra,
+                          [marked.replace('"@@"', token) for token in _TOKENS])
+
+    @pytest.mark.parametrize("path", [
+        ("domains", 0), ("domains", 1), ("constraints", 0, "scope", 0),
+        ("constraints", 1, "scope", 1), ("constraints", 0, "values", 1),
+        ("constraints", 1, "values", 0), ("algebra", "size"), ("algebra", "name"),
+        ("algebra", "otimes", 1, 1), ("algebra", "leq", 0, 5), ("extra",),
+    ], ids=str)
+    def test_problem_fields(self, monkeypatch, path):
+        marked = _marked(_BASE_PROBLEM, path)
+        self._assert_same(monkeypatch, d.load_problem_raw,
+                          [marked.replace('"@@"', token) for token in _TOKENS])
+
+    @pytest.mark.parametrize("load,text", [
+        (d.load_algebra, _BASE_ALGEBRA), (d.load_problem_raw, json.dumps(_BASE_PROBLEM)),
+    ], ids=["algebra", "problem"])
+    def test_whole_texts(self, monkeypatch, load, text):
+        texts = [
+            text, "  \n" + text + "\t", text[:-10], "{nope", "", "null", "[]", "1",
+            text + " x", text + "{}", text.rstrip() + "]", "﻿" + text,
+            text.replace('"', "'"), text.replace(":", ": ", 3), text.replace("1", "\ud800", 1),
+            text.replace("[", "[\x00", 1),
+        ]
+        self._assert_same(monkeypatch, load, texts)
+
+
+class TestDeepNesting:
+    def test_api_refuses_with_a_parse_error(self):
+        for load in (d.load_problem_raw, d.load_algebra):
+            with pytest.raises(d.ParseError, match="^invalid JSON: maximum recursion depth"):
+                load(_DEEP)
+
+    def test_too_many_brackets_never_reach_orjson(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("orjson decoded a text past the bracket bound")
+
+        expected = d.load_problem_raw(json.dumps(_BASE_PROBLEM))
+        monkeypatch.setattr(formats.orjson, "loads", fail)
+        wide = dict(_BASE_PROBLEM, extra=[[]] * formats._ORJSON_MAX_NESTING)
+        assert d.load_problem_raw(json.dumps(wide)) == expected
+        with pytest.raises(d.ParseError, match="^invalid JSON: maximum recursion depth"):
+            d.load_problem_raw(_DEEP)
+
+    @pytest.mark.parametrize("depth,open_,close", [
+        (formats._ORJSON_MAX_NESTING, "[", "]"),
+        (formats._ORJSON_MAX_NESTING // 3, '{"a":', "}"),
+    ], ids=["arrays", "objects"])
+    def test_bound_fits_half_a_small_thread_stack(self, depth, open_, close):
+        # The deepest texts orjson may decode, in a thread with a 1 MiB
+        # stack, twice what the bound allows for.
+        text = open_ * depth + "0" + close * depth
+        depths = []
+
+        def decode():
+            obj, level = formats._decoded(text, lambda obj: obj), 0
+            while obj != 0:
+                obj, level = (obj[0] if isinstance(obj, list) else obj["a"]), level + 1
+            depths.append(level)
+
+        old = threading.stack_size(1 << 20)
+        try:
+            thread = threading.Thread(target=decode)
+            thread.start()
+            thread.join()
+        finally:
+            threading.stack_size(old)
+        assert depths == [depth]
