@@ -11,11 +11,9 @@ from .algebra import (
     classify,
     derive_lattice,
     direct_product,
-    expand_cis,
     godel_chain,
     heyting_from_lattice,
     lukasiewicz_chain,
-    replay_axiom,
     residuum_from_tables,
     weighted,
 )
@@ -34,7 +32,6 @@ from .errors import (
     AlgebraError,
     AxiomViolation,
     FormatError,
-    NotACIS,
     NotALattice,
     NotBounded,
     NotDistributive,

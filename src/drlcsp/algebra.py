@@ -38,7 +38,6 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .errors import (
-    NotACIS,
     NotALattice,
     NotBounded,
     NotDistributive,
@@ -505,8 +504,7 @@ def check_axioms(algebra: FiniteDRL, profile: str = "drl") -> AxiomReport:
     """Exhaustively evaluate one law profile over the whole carrier.
 
     Failures are report entries, never exceptions; each failing entry
-    carries the lexicographically least (x, y, z) falsifying the law,
-    replayable with `replay_axiom`.
+    carries the lexicographically least (x, y, z) falsifying the law.
     """
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}")
@@ -515,13 +513,6 @@ def check_axioms(algebra: FiniteDRL, profile: str = "drl") -> AxiomReport:
     return AxiomReport(profile, tuple(
         AxiomCheck(axiom, witness is None, witness) for (axiom, _), witness in zip(laws, witnesses)
     ))
-
-
-def replay_axiom(algebra: FiniteDRL, profile: str, axiom: str, triple: tuple[int, int, int]) -> bool:
-    """Re-evaluate a single law at one point; used to confirm counterexamples."""
-    laws = dict(PROFILES[profile])
-    x, y, z = triple
-    return bool(np.asarray(laws[axiom](algebra, x, y, z)))
 
 
 # ---------------------------------------------------------------------------
@@ -752,33 +743,3 @@ def direct_product(a: FiniteDRL, b: FiniteDRL) -> FiniteDRL:
         bottom=a.bottom * nb + b.bottom,
         name=f"product({a.name or '?'},{b.name or '?'})",
     )
-
-
-def expand_cis(join, otimes, top: int, bottom: int, name: str = "") -> FiniteDRL:
-    """Expand a commutative idempotent semiring into its Heyting algebra.
-
-    The semiring laws are checked first (NotACIS on failure); the meet is
-    the semiring product and the residuum comes from the adjunction
-    formula. ValueError is raised, before any law runs, unless the
-    tables are square and equally sized with entries in the carrier and
-    `top`/`bottom` are element ids.
-    """
-    J, O = np.asarray(join), np.asarray(otimes)
-    if J.ndim != 2 or J.shape != O.shape or J.shape[0] != J.shape[1]:
-        raise ValueError("join/otimes tables must be square and equally sized")
-    n = J.shape[0]
-    top, bottom = _element_id(top, n), _element_id(bottom, n)
-    for key, table in (("join", J), ("otimes", O)):
-        if not _in_carrier(table, n):
-            raise ValueError(f"{key} table has entries outside the carrier")
-    J, O = J.astype(np.intp), O.astype(np.intp)
-    semiring = SimpleNamespace(size=n, join=J, otimes=O, top=top, bottom=bottom)
-    witnesses = _first_failures(semiring, [law for _, law in _CIS_LAWS])
-    for (axiom, _), witness in zip(_CIS_LAWS, witnesses):
-        if witness is not None:
-            raise NotACIS(axiom, witness)
-
-    leq = J == np.arange(n)  # x <= y iff x v y = y
-    residuum = residuum_from_tables(leq, O)
-    return FiniteDRL(n, leq, O, J, O, residuum, top, bottom, name or f"cis({n})")
-

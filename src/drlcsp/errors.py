@@ -33,13 +33,6 @@ class ResiduationFails(AlgebraError):
         )
 
 
-class NotACIS(AlgebraError):
-    def __init__(self, axiom: str, counterexample: tuple[int, int, int]):
-        self.axiom = axiom
-        self.counterexample = counterexample
-        super().__init__(f"semiring law {axiom} fails at {counterexample}")
-
-
 class SizeOverflow(AlgebraError):
     def __init__(self, size: int, cap: int):
         self.size = size

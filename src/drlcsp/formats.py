@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 from math import comb
 from pathlib import Path
 
@@ -86,17 +87,22 @@ def _decoded(text: str, build, where: str = ""):
     floats and refuses NaN, the infinities, 1e400 and lone surrogates,
     where json accepts them; on anything else the two agree. The schema
     refuses all of those values and type-tests every field before its
-    range, so when orjson or `build` (with a FormatError) refuses, json
-    decodes the text again and `build` runs again: a refused document
-    gets the same exception and message as with json alone. Text that
-    is not JSON, or is nested too deeply for json, raises ParseError
-    ("invalid JSON" plus `where`).
+    range. So when orjson refuses, json decodes the text. When `build`
+    refuses (with a FormatError), json decodes it and `build` runs again
+    only if the text holds a run of 19 digits, as every integer outside
+    orjson's range does. Either way a refused document gets the same
+    exception and message as with json alone. Text that is not JSON, or
+    is nested too deeply for json, raises ParseError ("invalid JSON"
+    plus `where`).
     """
     if text.count("[") + 3 * text.count("{") <= _ORJSON_MAX_NESTING:
         try:
             return build(orjson.loads(text))
-        except (orjson.JSONDecodeError, FormatError):
+        except orjson.JSONDecodeError:
             pass
+        except FormatError:
+            if not re.search(r"\d{19}", text):
+                raise
     try:
         obj = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -358,9 +364,9 @@ def gen_random_problem(
     uniformly without replacement from the scopes of arity 2..max_arity,
     with table values uniform over the whole carrier. The same inputs
     always produce the identical problem. TooLarge is raised, before the
-    work it bounds, when the scope pool exceeds MAX_SCOPE_POOL, or a
-    table or the n unary tables together exceed MAX_TABLE_ENTRIES (which
-    the loader would refuse).
+    work it bounds, when the scope pool exceeds MAX_SCOPE_POOL, or when
+    the n unary tables together, or the e - n drawn tables together at
+    their largest, could exceed MAX_TABLE_ENTRIES.
     """
     if n < 1 or d < 1:
         raise ValueError("need at least one variable and one domain value")
@@ -378,10 +384,15 @@ def gen_random_problem(
         raise NotEnoughScopes(f"{need} scopes requested, only {pool_size} exist")
     if pool_size > MAX_SCOPE_POOL:
         raise TooLarge(f"{pool_size} candidate scopes exceed the cap {MAX_SCOPE_POOL}")
-    if d > MAX_TABLE_ENTRIES:
-        raise TooLarge(f"table for scope [0] needs {d} entries")
     if n * d > MAX_TABLE_ENTRIES:
         raise TooLarge(f"unary tables of {n * d} entries exceed the cap {MAX_TABLE_ENTRIES}")
+    # The drawn tables are largest when they take the highest arities first.
+    worst, left = 0, need
+    for arity in range(max_arity, 1, -1):
+        take = min(left, comb(n, arity))
+        worst, left = worst + take * d ** arity, left - take
+    if worst > MAX_TABLE_ENTRIES:
+        raise TooLarge(f"drawn tables of up to {worst} entries exceed the cap {MAX_TABLE_ENTRIES}")
 
     rng = SplitMix64(seed)
     domain_sizes = (d,) * n
@@ -399,11 +410,8 @@ def gen_random_problem(
     ]
     for _ in range(need):
         scope = pool.pop(rng.below(len(pool)))
-        length = d ** len(scope)
-        if length > MAX_TABLE_ENTRIES:
-            raise TooLarge(f"table for scope {list(scope)} needs {length} entries")
         constraints.append(
-            Constraint(scope, [rng.below(algebra.size) for _ in range(length)])
+            Constraint(scope, [rng.below(algebra.size) for _ in range(d ** len(scope))])
         )
 
     problem = normalize(RawProblem(algebra, domain_sizes, constraints))

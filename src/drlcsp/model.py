@@ -157,6 +157,9 @@ def combined_value(problem: Problem | RawProblem, assignment: Assignment) -> int
     if len(assignment) != problem.n:
         raise ValueError("assignment must cover every variable")
     sizes = problem.domain_sizes
+    # A negative value would index a table from its end.
+    if any(not 0 <= v < size for v, size in zip(assignment, sizes)):
+        raise ValueError("assignment has a value outside its variable's domain")
     otimes = problem.algebra.otimes
     acc = problem.algebra.top
     for c in iter_constraints(problem):

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
 import drlcsp as d
+from drlcsp import algebra
 
 
 def clone(problem):
@@ -20,6 +22,23 @@ def within_counter_bound(counters, n: int, e: int) -> bool:
     at most once per visited variable.
     """
     return counters.main_loop_iterations <= n and counters.project_calls <= n * e
+
+
+def law_holds_at(a, profile: str, axiom: str, triple) -> bool:
+    """One law of a `check_axioms` profile evaluated at a single (x, y, z)."""
+    x, y, z = triple
+    return bool(dict(algebra.PROFILES[profile])[axiom](a, x, y, z))
+
+
+def semiring_payload(join, otimes, top: int, bottom: int, name: str) -> dict:
+    """A semiring as an algebra payload: the order read off its join
+    (x <= y iff x v y = y) and otimes its product; no other table."""
+    join = np.asarray(join)
+    return {
+        "name": name, "size": len(join), "top": int(top), "bottom": int(bottom),
+        "leq": (join == np.arange(len(join))).astype(int).tolist(),
+        "otimes": np.asarray(otimes).tolist(),
+    }
 
 
 @pytest.fixture(scope="session")

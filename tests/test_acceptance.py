@@ -16,7 +16,7 @@ import pytest
 
 import drlcsp as d
 from drlcsp.cli import main as cli_main
-from conftest import within_counter_bound
+from conftest import semiring_payload, within_counter_bound
 from drlcsp.rng import SplitMix64
 from lattice_catalog import distributive_lattices
 
@@ -133,18 +133,33 @@ def test_criterion_02_residuum_uniqueness(suite):
 
 
 def test_criterion_03_semiring_expansion(boolean_alg):
-    failures = []
+    # Bistarelli, Montanari & Rossi's commutative idempotent semirings are
+    # Heyting algebras: each loads, under the drl law check, as the Heyting
+    # algebra over the order its join induces.
+    cases = []
     for name, leq in distributive_lattices(6):
-        heyting = d.heyting_from_lattice(leq, name)
-        expanded = d.expand_cis(heyting.join, heyting.otimes, heyting.top, heyting.bottom)
-        flags = d.classify(expanded)
-        if expanded != heyting:
-            failures.append((name, "expansion differs from direct construction"))
+        meet, join, top, bottom = d.derive_lattice(leq)
+        cases.append((semiring_payload(join, meet, top, bottom, name), d.heyting_from_lattice(leq, name)))
+    # Round trips: an algebra's (join, otimes) reduct loads back as the algebra.
+    diamond = d.heyting_from_lattice([[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]])
+    for algebra in (boolean_alg, diamond):
+        cases.append((semiring_payload(algebra.join, algebra.otimes, algebra.top,
+                                       algebra.bottom, algebra.name), algebra))
+    failures = []
+    for payload, expected in cases:
+        try:
+            loaded = d.load_algebra(payload, validate=True)
+        except (d.AlgebraError, d.FormatError) as exc:
+            failures.append((payload["name"], str(exc)))
+            continue
+        flags = d.classify(loaded)
+        if loaded != expected:
+            failures.append((payload["name"], "load differs from direct construction"))
         if not flags.idempotent or flags.variety_name not in ("Heyting", "Boolean", "Godel"):
-            failures.append((name, flags))
+            failures.append((payload["name"], flags))
     if not d.check_axioms(boolean_alg, "cis-reduct").ok:
         failures.append(("boolean", "reduct fails the semiring profile"))
-    _report(3, "idempotent semirings expand to Heyting algebras", not failures)
+    _report(3, f"{len(cases)} idempotent semirings load as Heyting algebras", not failures)
     assert not failures, failures
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import drlcsp as d
+from conftest import law_holds_at, semiring_payload
 from drlcsp import algebra
 from lattice_catalog import distributive_lattices
 
@@ -319,9 +320,9 @@ class TestCheckAxioms:
         assert d.check_axioms(boolean_alg, "cis-reduct").ok
 
     def test_lukasiewicz_cis_reduct_fails_idempotency(self, luk3):
-        report = d.check_axioms(luk3, "cis-reduct")
-        failed = {c.axiom for c in report.failures()}
-        assert "otimes-idempotent" in failed
+        # Every semiring law but idempotency holds: 1 * 1 = 0 in Luk(3).
+        failures = d.check_axioms(luk3, "cis-reduct").failures()
+        assert [(c.axiom, c.counterexample) for c in failures] == [("otimes-idempotent", (1, 0, 0))]
 
     def test_mixed_tables_fail_with_replayable_counterexample(self, luk3, godel3):
         # Goedel product with the Lukasiewicz residuum left in place
@@ -340,7 +341,7 @@ class TestCheckAxioms:
         failed = {c.axiom for c in report.failures()}
         assert failed & {"residuation", "divisibility"}
         for check in report.failures():
-            assert d.replay_axiom(mixed, "drl", check.axiom, check.counterexample) is False
+            assert not law_holds_at(mixed, "drl", check.axiom, check.counterexample)
 
     def test_counterexample_is_lexicographically_least(self, godel3):
         report = d.check_axioms(godel3, "drl")
@@ -366,8 +367,8 @@ class TestCheckAxioms:
 
     @pytest.mark.parametrize("entry", [-1, -0.5, 0.5, 2**63, 2**64, -(2**63) - 1])
     def test_out_of_range_or_fractional_entry_rejected(self, boolean_alg, entry):
-        # Refused when the algebra is built, so check_axioms, classify and
-        # replay_axiom never see the entry wrap round or truncate.
+        # Refused when the algebra is built, so check_axioms and classify
+        # never see the entry wrap round or truncate.
         with pytest.raises(ValueError, match="'?otimes'? table has entries outside"):
             d.FiniteDRL(2, boolean_alg.leq, boolean_alg.meet, boolean_alg.join,
                         ((0, entry), (0, 1)), boolean_alg.residuum, 1, 0)
@@ -545,27 +546,35 @@ class TestDirectProduct:
 
 
 class TestExpandCIS:
+    """A commutative idempotent semiring expands to a Heyting algebra
+    through `load_algebra`, given its order (read off its join) and its
+    product."""
+
     def test_diamond_round_trip(self):
         h = d.heyting_from_lattice(DIAMOND)
-        expanded = d.expand_cis(h.join, h.otimes, h.top, h.bottom)
-        assert expanded == h
+        payload = semiring_payload(h.join, h.otimes, h.top, h.bottom, h.name)
+        assert d.load_algebra(payload) == h
 
     def test_boolean_reduct_round_trip(self, boolean_alg):
-        expanded = d.expand_cis(boolean_alg.join, boolean_alg.otimes,
-                                boolean_alg.top, boolean_alg.bottom)
-        assert expanded == boolean_alg
+        payload = semiring_payload(boolean_alg.join, boolean_alg.otimes,
+                                   boolean_alg.top, boolean_alg.bottom, boolean_alg.name)
+        assert d.load_algebra(payload) == boolean_alg
 
     def test_output_is_idempotent_with_meet_product(self):
         h = d.heyting_from_lattice(DIAMOND)
-        out = d.expand_cis(h.join, h.meet, h.top, h.bottom)
+        out = d.load_algebra(semiring_payload(h.join, h.meet, h.top, h.bottom, "diamond"))
         assert np.array_equal(out.otimes, out.meet)
         assert d.classify(out).idempotent
         assert d.check_axioms(out, "drl").ok
 
     def test_non_idempotent_product_rejected(self, luk3):
-        with pytest.raises(d.NotACIS) as info:
-            d.expand_cis(luk3.join, luk3.otimes, luk3.top, luk3.bottom)
-        assert info.value.axiom == "otimes-idempotent"
+        # Luk(3)'s (join, otimes) reduct loads, but as the MV-algebra it is:
+        # not idempotent, so the semiring laws refuse it at 1 * 1 = 0.
+        out = d.load_algebra(semiring_payload(luk3.join, luk3.otimes, luk3.top, luk3.bottom, "luk3"))
+        assert out == luk3
+        assert not d.classify(out).idempotent
+        failures = d.check_axioms(out, "cis-reduct").failures()
+        assert [(c.axiom, c.counterexample) for c in failures] == [("otimes-idempotent", (1, 0, 0))]
 
     @pytest.mark.parametrize("top,bottom", [
         (0, False), (True, 1), (0, 1.0), (0.0, 1), (0, 2), (-1, 1),
@@ -576,21 +585,27 @@ class TestExpandCIS:
         # bottom=False, which brute_force_solve then takes for element 0.
         h = d.heyting_from_lattice([[1, 0], [1, 1]])
         assert (h.top, h.bottom) == (0, 1)
+        payload = semiring_payload(h.join, h.otimes, h.top, h.bottom, "two")
+        payload.update(top=top, bottom=bottom)
         monkeypatch.setattr(algebra, "_first_failures", None)  # no law may run
+        with pytest.raises(d.ParseError, match="must be an element id below 2"):
+            d.load_algebra(payload)
         with pytest.raises(ValueError, match="top/bottom out of range"):
-            d.expand_cis(h.join, h.otimes, top, bottom)
+            dataclasses.replace(h, top=top, bottom=bottom)
 
-    @pytest.mark.parametrize("join,otimes,table", [
-        ([[0, 5], [5, 1]], [[0, 0], [0, 1]], "join"),
-        ([[0, 1], [1, 1]], [[0, 0], [0, -1]], "otimes"),
-        ([[0, 1], [1, 1]], [[0, 0.5], [0.5, 1]], "otimes"),
+    @pytest.mark.parametrize("join,otimes,message", [
+        ([[0, 5], [5, 1]], [[0, 0], [0, 1]], "'join' has entries outside the carrier"),
+        ([[0, 1], [1, 1]], [[0, 0], [0, -1]], "'otimes' has entries outside the carrier"),
+        ([[0, 1], [1, 1]], [[0, 0.5], [0.5, 1]], "'otimes' must be a 2x2 integer table"),
     ], ids=["too-large", "negative", "fractional"])
-    def test_out_of_carrier_entry_refused_before_any_law(self, join, otimes, table, monkeypatch):
-        # 5 used to reach the law checker and raise numpy's IndexError, and -1
-        # wrapped round to element 1 and was reported as NotACIS.
+    def test_out_of_carrier_entry_refused_before_any_law(self, join, otimes, message, monkeypatch):
+        # 5 would index past the tables in the law checker, and -1 would wrap
+        # round to element 1.
+        payload = {"size": 2, "top": 1, "bottom": 0, "leq": [[1, 1], [0, 1]],
+                   "join": join, "otimes": otimes}
         monkeypatch.setattr(algebra, "_first_failures", None)  # no law may run
-        with pytest.raises(ValueError, match=f"{table} table has entries outside the carrier"):
-            d.expand_cis(join, otimes, 1, 0)
+        with pytest.raises(d.ParseError, match=message):
+            d.load_algebra(payload)
 
 
 def _tensor_first_failure(a, law):
@@ -641,7 +656,7 @@ class TestBlockedEvaluator:
         assert decide is None or decide(bad) is False
         assert check.counterexample == witness
         assert _tensor_first_failure(bad, law) == witness
-        assert d.replay_axiom(bad, profile, axiom, witness) is False
+        assert not law_holds_at(bad, profile, axiom, witness)
 
     def test_clean_algebra_agrees_with_whole_grid(self):
         a = d.direct_product(d.godel_chain(9), d.weighted(8))  # three blocks

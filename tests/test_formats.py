@@ -434,14 +434,15 @@ class TestGenerator:
             d.gen_random_problem(w10, 2, 2, 5, 2, 0)
 
     # Each case is refused before the work it bounds: the peak allocation
-    # stays far below one table of over 10^6 entries or a pool of about
-    # 10^9 scopes.
+    # stays far below one table of over 10^6 entries, four tables of
+    # exactly 10^6, or a pool of about 10^9 scopes.
     @pytest.mark.parametrize("args", [
         (2, 1001, 3, 2, 0),
         (2, 1_000_001, 2, 2, 0),
         (3, 400_000, 3, 2, 0),
         (400, 2, 401, 4, 0),
-    ], ids=["table", "unary-table", "unary-tables", "scope-pool"])
+        (1000, 1000, 1004, 2, 0),
+    ], ids=["table", "unary-table", "unary-tables", "scope-pool", "drawn-tables"])
     def test_too_large_refused_before_allocating(self, w10, args):
         tracemalloc.start()
         try:
@@ -629,6 +630,22 @@ class TestStdlibReference:
             text.replace("[", "[\x00", 1),
         ]
         self._assert_same(monkeypatch, load, texts)
+
+    def test_refused_document_builds_once(self, monkeypatch):
+        # Without a run of 19 digits json would decode the text alike, so a
+        # refusal is not retried and the inline algebra is validated once.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return d.check_axioms(*args)
+
+        monkeypatch.setattr(formats, "check_axioms", counted)
+        obj = json.loads(json.dumps(_BASE_PROBLEM))
+        obj["constraints"][0]["values"] = [1]
+        with pytest.raises(d.ParseError, match="needs exactly 2 values"):
+            d.load_problem_raw(json.dumps(obj))
+        assert len(calls) == 1
 
 
 class TestDeepNesting:

@@ -121,6 +121,12 @@ class TestCombinedValue:
         with pytest.raises(ValueError):
             d.combined_value(raw, (0,))
 
+    @pytest.mark.parametrize("assignment", [(1, -2), (0, -1), (2, 0), (0, 2)])
+    def test_value_outside_domain_rejected(self, godel3, assignment):
+        p = d.gen_random_problem(godel3, 2, 2, 3, 2, seed=1)
+        with pytest.raises(ValueError, match="outside its variable's domain"):
+            d.combined_value(p, assignment)
+
 
 class TestConsistencyPredicate:
     def test_all_top_tables_are_consistent(self, godel3):
