@@ -47,8 +47,8 @@ its row: every strategy chooses x = top. Then u * top = u leaves the
 unary values, none of them bottom, and top -> v = v leaves the table.
 On randomly generated instances most projections are of this kind.
 The full path would still spend one maximal-seeded draw, below(1),
-per live value, so the skip spends the same draws and later choices
-stay the same.
+per live value, so the skip advances the stream by one draw per live
+value and later choices stay the same.
 
 The sweep runs on a working copy whose tables are owned `intp` arrays,
 converted once from the input's lists; `project` updates them in place
@@ -173,8 +173,7 @@ def project(
     if (cand == alg.top).any(axis=1).all():
         # Every strategy chooses top, which changes nothing (module docstring).
         if strategy.kind == "maximal-seeded":
-            for _ in range(len(cand)):
-                rng.below(1)
+            rng.skip(len(cand))
         return False
 
     if strategy.kind == "join":

@@ -395,13 +395,15 @@ def gen_random_problem(
         raise TooLarge(f"drawn tables of up to {worst} entries exceed the cap {MAX_TABLE_ENTRIES}")
 
     rng = SplitMix64(seed)
+    # Without a rejection the draws read n*d + need + (the drawn tables'
+    # entries) <= n*d + need + worst outputs, so one block serves every
+    # table; a draw that runs past it computes its own outputs.
+    rng.read_ahead(n * d + need + worst)
     domain_sizes = (d,) * n
-    non_bottom = [v for v in range(algebra.size) if v != algebra.bottom]
+    non_bottom = np.array([v for v in range(algebra.size) if v != algebra.bottom])
 
-    constraints = [
-        Constraint((i,), [non_bottom[rng.below(len(non_bottom))] for _ in range(d)])
-        for i in range(n)
-    ]
+    unary = non_bottom[rng.below_many(len(non_bottom), n * d)].tolist()
+    constraints = [Constraint((i,), unary[i * d:(i + 1) * d]) for i in range(n)]
 
     pool = [
         scope
@@ -410,9 +412,8 @@ def gen_random_problem(
     ]
     for _ in range(need):
         scope = pool.pop(rng.below(len(pool)))
-        constraints.append(
-            Constraint(scope, [rng.below(algebra.size) for _ in range(d ** len(scope))])
-        )
+        values = rng.below_many(algebra.size, d ** len(scope)).tolist()
+        constraints.append(Constraint(scope, values))
 
     problem = normalize(RawProblem(algebra, domain_sizes, constraints))
     assert problem is not None  # unary values are never bottom by construction

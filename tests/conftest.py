@@ -1,8 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import drlcsp as d
 from drlcsp import algebra
+from drlcsp.rng import SplitMix64
 
 
 def clone(problem):
@@ -22,6 +25,33 @@ def within_counter_bound(counters, n: int, e: int) -> bool:
     at most once per visited variable.
     """
     return counters.main_loop_iterations <= n and counters.project_calls <= n * e
+
+
+def scalar_gen_random_problem(alg, n: int, dom: int, e: int, max_arity: int, seed: int):
+    """`gen_random_problem` with one scalar `below` draw per table value.
+
+    The reference its block draws must reproduce byte for byte: the n
+    unary tables over the non-bottom elements, then each drawn scope
+    followed by its table, all from one SplitMix64 stream in that order.
+    Takes only valid parameters; the size caps are not checked.
+    """
+    rng = SplitMix64(seed)
+    non_bottom = [v for v in range(alg.size) if v != alg.bottom]
+    constraints = [
+        d.Constraint((i,), [non_bottom[rng.below(len(non_bottom))] for _ in range(dom)])
+        for i in range(n)
+    ]
+    pool = [
+        scope
+        for arity in range(2, max_arity + 1)
+        for scope in itertools.combinations(range(n), arity)
+    ]
+    for _ in range(e - n):
+        scope = pool.pop(rng.below(len(pool)))
+        constraints.append(
+            d.Constraint(scope, [rng.below(alg.size) for _ in range(dom ** len(scope))])
+        )
+    return d.normalize(d.RawProblem(alg, (dom,) * n, constraints))
 
 
 def law_holds_at(a, profile: str, axiom: str, triple) -> bool:

@@ -11,6 +11,7 @@ import pytest
 import drlcsp as d
 from drlcsp import formats
 from drlcsp.cli import main
+from conftest import scalar_gen_random_problem
 from drlcsp.model import iter_constraints
 from lattice_catalog import distributive_lattices
 
@@ -465,6 +466,36 @@ class TestGenerator:
     def test_bad_params(self, w10, args):
         with pytest.raises(ValueError):
             d.gen_random_problem(w10, *args)
+
+    # Algebra size 2 (one non-bottom element), d=1, max_arity == n, seeds
+    # at both ends of the state space, and the enforce-large shape.
+    @pytest.mark.parametrize("make, shapes", [
+        (d.boolean, [(3, 2, 6, 3), (4, 1, 9, 4), (2, 3, 3, 2)]),
+        (lambda: d.weighted(3), [(5, 1, 12, 3), (3, 4, 7, 3)]),
+        (lambda: d.lukasiewicz_chain(6), [(4, 3, 11, 4), (6, 2, 20, 3)]),
+        (lambda: d.direct_product(d.godel_chain(3), d.weighted(4)), [(4, 3, 8, 3), (5, 2, 15, 5)]),
+        (lambda: d.weighted(10), [(30, 10, 200, 3)]),
+    ])
+    def test_block_draws_match_the_scalar_reference(self, make, shapes):
+        algebra = make()
+        for n, dom, e, max_arity in shapes:
+            for seed in (0, 1, 17, 2**63, 2**64 - 1):
+                problem = d.gen_random_problem(algebra, n, dom, e, max_arity, seed)
+                reference = scalar_gen_random_problem(algebra, n, dom, e, max_arity, seed)
+                assert d.save_problem(problem) == d.save_problem(reference)
+
+    def test_largest_table_matches_the_reference_within_memory(self):
+        # One 10^6-entry table: the read-ahead block, the drawn values and
+        # the list of Python ints are alive together.
+        algebra = d.weighted(3)
+        tracemalloc.start()
+        try:
+            problem = d.gen_random_problem(algebra, 2, 1000, 3, 2, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * 2**20
+        assert problem == scalar_gen_random_problem(algebra, 2, 1000, 3, 2, 0)
 
     def test_generated_batch_round_trips_through_loader(self):
         algebra = d.weighted(8)
