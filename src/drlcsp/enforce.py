@@ -50,9 +50,25 @@ The full path would still spend one maximal-seeded draw, below(1),
 per live value, so the skip advances the stream by one draw per live
 value and later choices stay the same.
 
+Whether a projection is of this kind is mostly known before the sweep
+starts. Entries only rise, and x -> top = top, so a row that holds top
+keeps it; live sets only shrink. A pair (scope, variable) whose rows
+all hold top in the input therefore reaches `project`'s all-top test
+whenever the sweep gets to it. The sweep marks these pairs up front,
+with one reduction per table shape and coordinate (`model.table_groups`),
+and does not call `project` on them: it does only that call's
+bookkeeping (`project_calls`, `inner_tuple_iterations` over the live
+rows, and under maximal-seeded one skipped draw per live value). The
+unmarked pairs go through `project`, which still tests for top itself.
+Outputs, counters and the seeded stream are those of calling `project`
+on every pair. The consistency predicate rests on the same fact from
+the other side: a row that holds top has the witness top, since
+u * top = u, so it needs no gather (`model.is_k_hyperarc_consistent`).
+
 The sweep runs on a working copy whose tables are owned `intp` arrays,
-converted once from the input's lists; `project` updates them in place
-and they go back to lists of Python ints at the end.
+converted once from the input's lists, those of one shape with one
+`np.fromiter` into a stack whose rows are the tables; `project` updates
+them in place and they go back to lists of Python ints at the end.
 
 How x is chosen is configurable. On totally ordered algebras every
 choice coincides (the candidate set has a maximum); on general lattices
@@ -64,10 +80,11 @@ consistency, so both are provided explicitly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 
 import numpy as np
 
-from .model import Constraint, Problem, Scope, intp_array, rows, scope_sizes
+from .model import Constraint, Problem, Scope, intp_array, rows, scope_sizes, table_groups
 from .rng import SplitMix64, check_seed
 
 _STRATEGY_KINDS = ("maximal-lex", "maximal-seeded", "join")
@@ -221,28 +238,48 @@ def enforce_k_hyperarc(
     Inconsistency is reported as soon as some variable has only bottom
     unary values. `main_loop_iterations` counts the visited variables,
     which is n on every run that ends consistent.
+
+    The pairs whose rows all hold top in the input are marked before the
+    sweep and skipped with their counters and draws; the module
+    docstring shows that such a call could change nothing.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
+    groups = table_groups(problem, k)
+    tables = {scope: table for group in groups for scope, table in zip(group.scopes, group.stack)}
     work = Problem(problem.algebra, problem.domain_sizes, {
-        scope: Constraint(scope, intp_array(c.values)) for scope, c in problem.constraints.items()
+        scope: Constraint(scope, tables[scope] if scope in tables else intp_array(c.values))
+        for scope, c in problem.constraints.items()
     })
     bottom = work.algebra.bottom
     counters = Counters()
     rng = SplitMix64(strategy.seed) if strategy.kind == "maximal-seeded" else None
 
-    scopes_by_var: dict[int, list[Scope]] = {i: [] for i in range(work.n)}
-    for scope in sorted(work.constraints):
-        if 2 <= len(scope) <= k:
-            for v in scope:
-                scopes_by_var[v].append(scope)
+    # pairs[i]: (scope, whether all its rows at i hold top, row length), in sorted scope order
+    pairs: list[list[tuple[Scope, bool, int]]] = [[] for _ in range(work.n)]
+    for group in groups:
+        for pos, top_rows in enumerate(group.top_rows):
+            row_len = prod(group.sizes[:pos] + group.sizes[pos + 1:])
+            for scope, skip in zip(group.scopes, top_rows.all(axis=1).tolist()):
+                pairs[scope[pos]].append((scope, skip, row_len))
+    for var_pairs in pairs:
+        var_pairs.sort()
 
     for i in range(work.n):
         counters.main_loop_iterations += 1
-        for scope in scopes_by_var[i]:
-            project(work, scope, i, strategy, rng=rng, counters=counters)
+        live = None  # live values of i, counted when first needed and after each shrink
+        for scope, skip, row_len in pairs[i]:
+            if skip:
+                # The call `project` would make returns at its all-top test.
+                if live is None:
+                    live = int(np.count_nonzero(work.unary(i).values != bottom))
+                counters.inner_tuple_iterations += 2 * live * row_len
+                if rng is not None:
+                    rng.skip(live)
+            elif project(work, scope, i, strategy, rng=rng, counters=counters) or live is None:
+                live = int(np.count_nonzero(work.unary(i).values != bottom))
             counters.project_calls += 1
-            if (work.unary(i).values == bottom).all():
+            if not live:
                 return EnforcementOutcome(True, None, counters)
     for c in work.constraints.values():
         c.values = c.values.tolist()

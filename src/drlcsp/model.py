@@ -11,6 +11,7 @@ and drops domain values whose unary value is bottom.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from math import prod
 from typing import Iterator
 
@@ -98,6 +99,46 @@ def rows(table: np.ndarray, sizes: tuple[int, ...], pos: int) -> np.ndarray:
     return table.reshape(sizes).transpose(order).reshape(sizes[pos], -1)
 
 
+@dataclass
+class TableGroup:
+    """The stored scopes of one table shape, with their tables stacked.
+
+    `stack[j]` is a new `intp` copy of the table of `scopes[j]`, and
+    `top_rows[pos][j, a]` says whether row a of that table at coordinate
+    `pos` (see `rows`) holds top.
+    """
+
+    sizes: tuple[int, ...]
+    scopes: list[Scope]
+    stack: np.ndarray
+    top_rows: list[np.ndarray]
+
+
+def table_groups(problem: Problem, k: int) -> list[TableGroup]:
+    """The stored scopes of arity 2..k, grouped by their `sizes`.
+
+    Each group's tables are read with one `np.fromiter` into an
+    `[m, prod(sizes)]` array, and the rows holding top are found with one
+    reduction per coordinate, so the cost per group does not grow with m
+    in numpy calls. Scopes keep the constraint store's order.
+    """
+    by_sizes: dict[tuple[int, ...], list[Scope]] = {}
+    for scope in problem.constraints:
+        if 2 <= len(scope) <= k:
+            by_sizes.setdefault(scope_sizes(scope, problem.domain_sizes), []).append(scope)
+    top = problem.algebra.top
+    groups = []
+    for sizes, scopes in by_sizes.items():
+        m, length = len(scopes), prod(sizes)
+        values = chain.from_iterable([problem.constraints[s].values for s in scopes])
+        stack = np.fromiter(values, np.intp, m * length).reshape(m, length)
+        held = (stack == top).reshape(m, *sizes)
+        axes = range(1, len(sizes) + 1)  # those of the coordinates in `held`
+        top_rows = [held.any(axis=tuple(a for a in axes if a != pos + 1)) for pos in range(len(sizes))]
+        groups.append(TableGroup(sizes, scopes, stack, top_rows))
+    return groups
+
+
 # ---------------------------------------------------------------------------
 # Normalization
 
@@ -182,20 +223,36 @@ def is_k_hyperarc_consistent(problem: Problem, k: int) -> Violation | None:
     C_i(a) = C_i(a) * C_scope(t . a). Returns None when every point has
     a witness, else the first violation in canonical order (scopes
     sorted, then variable, then value).
+
+    A row that holds top needs no gather, since u * top = u, and neither
+    does a value whose unary value is bottom. `table_groups` finds the
+    rows that hold top for all tables of one shape at once; only the
+    scopes with some other row are visited one by one, in sorted order,
+    and a gather runs only at a variable where some row is neither.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
     alg = problem.algebra
-    unary = [intp_array(problem.unary(var).values)[:, None] for var in range(problem.n)]
-    dead = [u[:, 0] == alg.bottom for u in unary]
-    for scope in sorted(problem.constraints):
-        if not 2 <= len(scope) <= k:
-            continue
-        table = intp_array(problem.constraints[scope].values)
+    unsettled = []
+    for group in table_groups(problem, k):
+        settled = np.logical_and.reduce([top_rows.all(axis=1) for top_rows in group.top_rows])
+        unsettled += [
+            (group.scopes[j], group.stack[j], [top_rows[j] for top_rows in group.top_rows])
+            for j in np.flatnonzero(~settled).tolist()
+        ]
+    unsettled.sort(key=lambda item: item[0])
+    unary: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for scope, table, top_rows in unsettled:
         sizes = scope_sizes(scope, problem.domain_sizes)
         for pos, var in enumerate(scope):
-            u = unary[var]
-            witnessed = (alg.otimes[u, rows(table, sizes, pos)] == u).any(axis=1) | dead[var]
+            if var not in unary:
+                u = intp_array(problem.unary(var).values)
+                unary[var] = (u[:, None], u == alg.bottom)
+            u, dead = unary[var]
+            witnessed = top_rows[pos] | dead
+            if witnessed.all():
+                continue
+            witnessed |= (alg.otimes[u, rows(table, sizes, pos)] == u).any(axis=1)
             if not witnessed.all():
                 return Violation(scope, var, int(witnessed.argmin()))
     return None

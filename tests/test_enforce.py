@@ -1,11 +1,13 @@
 import hashlib
+import random
 from math import comb
 
+import numpy as np
 import pytest
 
 import drlcsp as d
 from conftest import clone, within_counter_bound
-from drlcsp.model import iter_constraints
+from drlcsp.model import iter_constraints, table_groups
 from drlcsp.rng import SplitMix64
 
 
@@ -342,3 +344,138 @@ class TestSweepOnNonChains:
         assert runs == 2400
         assert changed == 0
         assert digest.hexdigest() == _SWEEP_CORPUS_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# The sweep's skip mask against a sweep that projects every pair
+
+
+def _reference_sweep(problem, k, strategy, after_project=None):
+    """The sweep as it reads: `project` on every pair, on list tables.
+
+    Variables in id order, each against its stored scopes of arity 2..k
+    in sorted order; after each call, stop if every unary value of the
+    visited variable is bottom. `after_project(before, after)` sees the
+    problem around each call.
+    """
+    work = clone(problem)
+    bottom = work.algebra.bottom
+    counters = d.Counters()
+    rng = SplitMix64(strategy.seed) if strategy.kind == "maximal-seeded" else None
+    for i in range(work.n):
+        counters.main_loop_iterations += 1
+        for scope in sorted(work.constraints):
+            if 2 <= len(scope) <= k and i in scope:
+                before = clone(work) if after_project else None
+                d.project(work, scope, i, strategy, rng=rng, counters=counters)
+                if after_project:
+                    after_project(before, work)
+                counters.project_calls += 1
+                if all(v == bottom for v in work.unary(i).values):
+                    return d.EnforcementOutcome(True, None, counters)
+    return d.EnforcementOutcome(False, work, counters)
+
+
+def _with_dead_values(problem, seed):
+    """A copy, not normalized, in which about half the unary tables lose one value to bottom."""
+    p = clone(problem)
+    rng = random.Random(seed)
+    for var in range(p.n):
+        if rng.random() < 0.5:
+            values = p.unary(var).values
+            values[rng.randrange(len(values))] = p.algebra.bottom
+    return p
+
+
+def _mask_corpus():
+    """Chains and non-chains, with and without dead values, every k and strategy."""
+    b = d.boolean()
+    algebras = [
+        d.direct_product(b, b),
+        d.direct_product(d.lukasiewicz_chain(3), d.godel_chain(3)),
+        d.weighted(4),
+    ]
+    for alg in algebras:
+        for seed in range(16):
+            n = 3 + seed % 3
+            problem = d.gen_random_problem(alg, n, 2 + seed % 2, n + 2 + seed % 3, 3, seed)
+            for instance in (problem, _with_dead_values(problem, seed)):
+                for strategy in (d.MAXIMAL_LEX, d.maximal_seeded(seed), d.JOIN):
+                    for k in (2, 3):
+                        yield instance, k, strategy
+
+
+def _marked_pairs(problem, k) -> int:
+    """How many (scope, variable) pairs have all their rows holding top."""
+    return sum(
+        int(top_rows.all(axis=1).sum())
+        for group in table_groups(problem, k) for top_rows in group.top_rows
+    )
+
+
+class TestSkipMask:
+    def test_matches_the_reference_sweep(self):
+        runs = marked = inconsistent = dead = 0
+        for problem, k, strategy in _mask_corpus():
+            out = d.enforce_k_hyperarc(problem, k, strategy)
+            ref = _reference_sweep(problem, k, strategy)
+            assert out.inconsistent == ref.inconsistent
+            assert out.counters == ref.counters
+            if not out.inconsistent:
+                assert out.problem == ref.problem
+            runs += 1
+            marked += _marked_pairs(problem, k) > 0
+            inconsistent += out.inconsistent
+            dead += any(problem.algebra.bottom in problem.unary(v).values for v in range(problem.n))
+        assert runs == 3 * 16 * 2 * 3 * 2
+        # the mask, the inconsistent exit and the dead values are all exercised
+        assert marked and inconsistent and dead
+
+    def test_projection_only_raises_entries_and_keeps_top(self):
+        """The invariant the mask rests on, after every `project` call."""
+        calls = 0
+
+        def check(before, after):
+            nonlocal calls
+            alg = after.algebra
+            calls += 1
+            for scope, c in after.constraints.items():
+                old = np.array(before.constraints[scope].values)
+                new = np.array(c.values)
+                if len(scope) == 1:
+                    assert alg.leq[new, old].all()  # unary values only fall
+                    assert (new[old == alg.bottom] == alg.bottom).all()  # live sets only shrink
+                else:
+                    assert alg.leq[old, new].all()  # entries only rise
+                    assert (new[old == alg.top] == alg.top).all()  # top stays top
+
+        for problem, k, strategy in _mask_corpus():
+            if k == 3:
+                _reference_sweep(problem, k, strategy, after_project=check)
+        assert calls > 1000
+
+
+class TestAllBottomUnary:
+    """A hand-built problem, not normalized, whose variable 1 has only bottom unary values."""
+
+    @pytest.mark.parametrize("strategy", [d.MAXIMAL_LEX, d.maximal_seeded(5), d.JOIN])
+    @pytest.mark.parametrize("table_01", [
+        [1, 2, 0, 3],  # at variable 1 the row of value 1 lacks top (cost 0): `project` runs
+        [0, 2, 1, 0],  # every row at either variable holds top: the pair is skipped
+    ])
+    def test_ends_inconsistent_at_that_variable(self, w4, strategy, table_01):
+        problem = d.Problem(w4, (2, 2, 2), {
+            (0,): d.Constraint((0,), [1, 0]),
+            (1,): d.Constraint((1,), [4, 4]),
+            (2,): d.Constraint((2,), [0, 2]),
+            (0, 1): d.Constraint((0, 1), table_01),
+            (1, 2): d.Constraint((1, 2), [1, 3, 2, 1]),
+        })
+        out = d.enforce_k_hyperarc(problem, 2, strategy)
+        assert out.inconsistent
+        assert out.problem is None
+        # Variables 0 and 1 are visited. (0, 1) is projected onto 0 (two
+        # live rows of two entries), then onto 1, which has no live value,
+        # and the run stops there, before (1, 2).
+        assert out.counters == d.Counters(2, 2, 2 * 2 * 2)
+        assert out.counters == _reference_sweep(problem, 2, strategy).counters

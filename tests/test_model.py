@@ -1,10 +1,12 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 import drlcsp as d
 from conftest import clone
+from drlcsp.model import rows
 
 
 class TestNormalize:
@@ -233,3 +235,52 @@ class TestPublicResultsArePythonInts:
                         _assert_python_ints([cex.assignment, cex.value_a, cex.value_b])
                     counterexamples += cex is not None
         assert violations and inconsistent and counterexamples
+
+
+def _reference_predicate(problem, k):
+    """The predicate one scope at a time, with a gather for every row."""
+    alg = problem.algebra
+    for scope in sorted(problem.constraints):
+        if not 2 <= len(scope) <= k:
+            continue
+        table = np.array(problem.constraints[scope].values)
+        sizes = tuple(problem.domain_sizes[v] for v in scope)
+        for pos, var in enumerate(scope):
+            u = np.array(problem.unary(var).values)[:, None]
+            witnessed = (alg.otimes[u, rows(table, sizes, pos)] == u).any(axis=1) | (u[:, 0] == alg.bottom)
+            if not witnessed.all():
+                return d.Violation(scope, var, int(witnessed.argmin()))
+    return None
+
+
+class TestPredicateAgainstReference:
+    def test_raw_and_enforced_instances(self):
+        b = d.boolean()
+        algebras = [
+            d.direct_product(b, b),
+            d.direct_product(d.lukasiewicz_chain(3), d.godel_chain(3)),
+            d.weighted(4),
+            d.godel_chain(5),
+        ]
+        verdicts = {"raw": set(), "enforced": set()}
+        for alg in algebras:
+            for seed in range(20):
+                n = 3 + seed % 3
+                raw = d.gen_random_problem(alg, n, 2 + seed % 2, n + 2 + seed % 3, 3, seed)
+                dead = clone(raw)
+                dead.unary(seed % n).values[0] = alg.bottom
+                for k in (2, 3):
+                    for problem in (raw, dead):
+                        got = d.is_k_hyperarc_consistent(problem, k)
+                        assert got == _reference_predicate(problem, k)
+                        verdicts["raw"].add(got is None)
+                    for strategy in (d.MAXIMAL_LEX, d.maximal_seeded(seed), d.JOIN):
+                        out = d.enforce_k_hyperarc(raw, k, strategy)
+                        if out.inconsistent:
+                            continue
+                        for k2 in (2, 3):
+                            got = d.is_k_hyperarc_consistent(out.problem, k2)
+                            assert got == _reference_predicate(out.problem, k2)
+                            verdicts["enforced"].add(got is None)
+        # both verdicts occur on raw inputs and on enforced outputs
+        assert verdicts == {"raw": {True, False}, "enforced": {True, False}}
