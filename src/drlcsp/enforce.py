@@ -41,29 +41,21 @@ the sweep also consumes the maximal-seeded random draws of the first
 visits in the same order, and its outputs match the worklist's exactly.
 
 A projection in which every live row already holds top changes
-nothing, so `project` returns right after gathering the rows. Top is
-above every candidate, so it is the only maximal one and the join of
-its row: every strategy chooses x = top. Then u * top = u leaves the
-unary values, none of them bottom, and top -> v = v leaves the table.
-On randomly generated instances most projections are of this kind.
-The full path would still spend one maximal-seeded draw, below(1),
-per live value, so the skip advances the stream by one draw per live
-value and later choices stay the same.
-
-Whether a projection is of this kind is mostly known before the sweep
-starts. Entries only rise, and x -> top = top, so a row that holds top
-keeps it; live sets only shrink. A pair (scope, variable) whose rows
-all hold top in the input therefore reaches `project`'s all-top test
-whenever the sweep gets to it. The sweep marks these pairs up front,
-with one reduction per table shape and coordinate (`model.table_groups`),
-and does not call `project` on them: it does only that call's
-bookkeeping (`project_calls`, `inner_tuple_iterations` over the live
-rows, and under maximal-seeded one skipped draw per live value). The
-unmarked pairs go through `project`, which still tests for top itself.
-Outputs, counters and the seeded stream are those of calling `project`
-on every pair. The consistency predicate rests on the same fact from
-the other side: a row that holds top has the witness top, since
-u * top = u, so it needs no gather (`model.is_k_hyperarc_consistent`).
+nothing. Top is above every candidate, so it is the only maximal one
+and the join of its row: every strategy chooses x = top, and
+maximal-seeded spends one draw, below(1), per live value. Then
+u * top = u leaves the unary values and top -> v = v leaves the table.
+Entries only rise, and x -> top = top, so a row that holds top keeps
+it, and live sets only shrink: a pair (scope, variable) whose rows all
+hold top in the input (`TableGroup.all_top`, found once per table
+shape by `model.table_groups`) stays a no-op whenever the sweep gets
+to it. That mask is the only skip. The sweep does not call `project`
+on a marked pair and does only its bookkeeping: `project_calls`,
+`inner_tuple_iterations` over the live rows, and under maximal-seeded
+one skipped draw per live value. `project` itself has one path per
+strategy. Outputs, counters and the seeded stream are those of calling
+`project` on every pair; on randomly generated instances most pairs
+are marked.
 
 The sweep runs on a working copy whose tables are owned `intp` arrays,
 converted once from the input's lists, those of one shape with one
@@ -163,7 +155,9 @@ def project(
     Returns True iff some unary value of `var` dropped to bottom. The
     caller must hold exclusive access to the problem. Tables may be
     lists or `intp` arrays; an array is updated in place, a list gets
-    its new values written back.
+    its new values written back. There is one path per strategy: on
+    rows that all hold top it chooses top and leaves both tables as they
+    were, which is why the sweep may skip such a call (module docstring).
     """
     scope = tuple(scope)
     constraint = problem.constraints.get(scope)
@@ -186,12 +180,6 @@ def project(
     cand = table[index]  # cand[r, t]: entry of tuple t at the r-th live value
     if counters is not None:
         counters.inner_tuple_iterations += 2 * cand.size
-
-    if (cand == alg.top).any(axis=1).all():
-        # Every strategy chooses top, which changes nothing (module docstring).
-        if strategy.kind == "maximal-seeded":
-            rng.skip(len(cand))
-        return False
 
     if strategy.kind == "join":
         acc = cand
@@ -235,13 +223,15 @@ def enforce_k_hyperarc(
     Variables are visited once in id order, each projected against its
     stored scopes of arity 2..k in sorted scope order; the module
     docstring shows why a second visit would change nothing.
-    Inconsistency is reported as soon as some variable has only bottom
-    unary values. `main_loop_iterations` counts the visited variables,
+    Inconsistency is reported as soon as the visited variable has only
+    bottom unary values: after the projection that leaves it none, or at
+    the end of its visit if it has no stored scope of arity 2..k.
+    `main_loop_iterations` counts the visited variables,
     which is n on every run that ends consistent.
 
-    The pairs whose rows all hold top in the input are marked before the
-    sweep and skipped with their counters and draws; the module
-    docstring shows that such a call could change nothing.
+    The pairs flagged in `TableGroup.all_top` are skipped with their
+    counters and draws; the module docstring shows that such a call
+    could change nothing.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -258,29 +248,28 @@ def enforce_k_hyperarc(
     # pairs[i]: (scope, whether all its rows at i hold top, row length), in sorted scope order
     pairs: list[list[tuple[Scope, bool, int]]] = [[] for _ in range(work.n)]
     for group in groups:
-        for pos, top_rows in enumerate(group.top_rows):
+        for pos, marks in enumerate(group.all_top.tolist()):
             row_len = prod(group.sizes[:pos] + group.sizes[pos + 1:])
-            for scope, skip in zip(group.scopes, top_rows.all(axis=1).tolist()):
+            for scope, skip in zip(group.scopes, marks):
                 pairs[scope[pos]].append((scope, skip, row_len))
     for var_pairs in pairs:
         var_pairs.sort()
 
     for i in range(work.n):
         counters.main_loop_iterations += 1
-        live = None  # live values of i, counted when first needed and after each shrink
+        live = int(np.count_nonzero(work.unary(i).values != bottom))
         for scope, skip, row_len in pairs[i]:
             if skip:
-                # The call `project` would make returns at its all-top test.
-                if live is None:
-                    live = int(np.count_nonzero(work.unary(i).values != bottom))
                 counters.inner_tuple_iterations += 2 * live * row_len
                 if rng is not None:
                     rng.skip(live)
-            elif project(work, scope, i, strategy, rng=rng, counters=counters) or live is None:
+            elif project(work, scope, i, strategy, rng=rng, counters=counters):
                 live = int(np.count_nonzero(work.unary(i).values != bottom))
             counters.project_calls += 1
             if not live:
-                return EnforcementOutcome(True, None, counters)
+                break
+        if not live:
+            return EnforcementOutcome(True, None, counters)
     for c in work.constraints.values():
         c.values = c.values.tolist()
     return EnforcementOutcome(False, work, counters)

@@ -415,6 +415,6 @@ def gen_random_problem(
         values = rng.below_many(algebra.size, d ** len(scope)).tolist()
         constraints.append(Constraint(scope, values))
 
-    problem = normalize(RawProblem(algebra, domain_sizes, constraints))
-    assert problem is not None  # unary values are never bottom by construction
-    return problem
+    # Already normalized: the scopes are distinct, every variable has a
+    # unary table, and no unary value is bottom.
+    return Problem(algebra, domain_sizes, {c.scope: c for c in constraints})

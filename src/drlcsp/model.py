@@ -104,23 +104,26 @@ class TableGroup:
     """The stored scopes of one table shape, with their tables stacked.
 
     `stack[j]` is a new `intp` copy of the table of `scopes[j]`, and
-    `top_rows[pos][j, a]` says whether row a of that table at coordinate
-    `pos` (see `rows`) holds top.
+    `all_top[pos, j]` says whether every row of that table at coordinate
+    `pos` (see `rows`) holds top. A row that holds top has the witness
+    top, since u * top = u and top -> v = v, so where the flag is set a
+    projection onto that coordinate, or a witness test there, is a
+    no-op; this flag is the one place that decides it.
     """
 
     sizes: tuple[int, ...]
     scopes: list[Scope]
     stack: np.ndarray
-    top_rows: list[np.ndarray]
+    all_top: np.ndarray
 
 
 def table_groups(problem: Problem, k: int) -> list[TableGroup]:
     """The stored scopes of arity 2..k, grouped by their `sizes`.
 
     Each group's tables are read with one `np.fromiter` into an
-    `[m, prod(sizes)]` array, and the rows holding top are found with one
-    reduction per coordinate, so the cost per group does not grow with m
-    in numpy calls. Scopes keep the constraint store's order.
+    `[m, prod(sizes)]` array, and `all_top` is found with one reduction
+    per coordinate, so the cost per group does not grow with m in numpy
+    calls. Scopes keep the constraint store's order.
     """
     by_sizes: dict[tuple[int, ...], list[Scope]] = {}
     for scope in problem.constraints:
@@ -134,8 +137,10 @@ def table_groups(problem: Problem, k: int) -> list[TableGroup]:
         stack = np.fromiter(values, np.intp, m * length).reshape(m, length)
         held = (stack == top).reshape(m, *sizes)
         axes = range(1, len(sizes) + 1)  # those of the coordinates in `held`
-        top_rows = [held.any(axis=tuple(a for a in axes if a != pos + 1)) for pos in range(len(sizes))]
-        groups.append(TableGroup(sizes, scopes, stack, top_rows))
+        all_top = np.array([
+            held.any(axis=tuple(a for a in axes if a != pos + 1)).all(axis=1) for pos in range(len(sizes))
+        ])
+        groups.append(TableGroup(sizes, scopes, stack, all_top))
     return groups
 
 
@@ -224,35 +229,28 @@ def is_k_hyperarc_consistent(problem: Problem, k: int) -> Violation | None:
     a witness, else the first violation in canonical order (scopes
     sorted, then variable, then value).
 
-    A row that holds top needs no gather, since u * top = u, and neither
-    does a value whose unary value is bottom. `table_groups` finds the
-    rows that hold top for all tables of one shape at once; only the
-    scopes with some other row are visited one by one, in sorted order,
-    and a gather runs only at a variable where some row is neither.
+    A scope whose rows all hold top at every coordinate
+    (`TableGroup.all_top`) has the witness top everywhere, so it is
+    settled with no gather. The other scopes are visited one by one, in
+    sorted order, with one witness test per variable.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
     alg = problem.algebra
     unsettled = []
     for group in table_groups(problem, k):
-        settled = np.logical_and.reduce([top_rows.all(axis=1) for top_rows in group.top_rows])
-        unsettled += [
-            (group.scopes[j], group.stack[j], [top_rows[j] for top_rows in group.top_rows])
-            for j in np.flatnonzero(~settled).tolist()
-        ]
+        settled = group.all_top.all(axis=0)
+        unsettled += [(group.scopes[j], group.stack[j]) for j in np.flatnonzero(~settled).tolist()]
     unsettled.sort(key=lambda item: item[0])
     unary: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for scope, table, top_rows in unsettled:
+    for scope, table in unsettled:
         sizes = scope_sizes(scope, problem.domain_sizes)
         for pos, var in enumerate(scope):
             if var not in unary:
                 u = intp_array(problem.unary(var).values)
                 unary[var] = (u[:, None], u == alg.bottom)
             u, dead = unary[var]
-            witnessed = top_rows[pos] | dead
-            if witnessed.all():
-                continue
-            witnessed |= (alg.otimes[u, rows(table, sizes, pos)] == u).any(axis=1)
+            witnessed = dead | (alg.otimes[u, rows(table, sizes, pos)] == u).any(axis=1)
             if not witnessed.all():
                 return Violation(scope, var, int(witnessed.argmin()))
     return None

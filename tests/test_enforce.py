@@ -113,7 +113,7 @@ class TestNoopProjection:
         counters = d.Counters()
         assert d.project(p, (0, 1), 0, strategy, counters=counters) is False
         assert p == before
-        # the skipped projection still counts the entries of its two live rows
+        # the no-op projection still counts the entries of its two live rows
         assert counters.inner_tuple_iterations == 2 * 2 * 2
 
     def test_seeded_skip_draws_once_per_live_value(self, bb_square):
@@ -354,9 +354,9 @@ def _reference_sweep(problem, k, strategy, after_project=None):
     """The sweep as it reads: `project` on every pair, on list tables.
 
     Variables in id order, each against its stored scopes of arity 2..k
-    in sorted order; after each call, stop if every unary value of the
-    visited variable is bottom. `after_project(before, after)` sees the
-    problem around each call.
+    in sorted order; after each call, and at the end of each visit, stop
+    if every unary value of the visited variable is bottom.
+    `after_project(before, after)` sees the problem around each call.
     """
     work = clone(problem)
     bottom = work.algebra.bottom
@@ -373,6 +373,8 @@ def _reference_sweep(problem, k, strategy, after_project=None):
                 counters.project_calls += 1
                 if all(v == bottom for v in work.unary(i).values):
                     return d.EnforcementOutcome(True, None, counters)
+        if all(v == bottom for v in work.unary(i).values):
+            return d.EnforcementOutcome(True, None, counters)
     return d.EnforcementOutcome(False, work, counters)
 
 
@@ -407,10 +409,7 @@ def _mask_corpus():
 
 def _marked_pairs(problem, k) -> int:
     """How many (scope, variable) pairs have all their rows holding top."""
-    return sum(
-        int(top_rows.all(axis=1).sum())
-        for group in table_groups(problem, k) for top_rows in group.top_rows
-    )
+    return sum(int(group.all_top.sum()) for group in table_groups(problem, k))
 
 
 class TestSkipMask:
@@ -478,4 +477,22 @@ class TestAllBottomUnary:
         # live rows of two entries), then onto 1, which has no live value,
         # and the run stops there, before (1, 2).
         assert out.counters == d.Counters(2, 2, 2 * 2 * 2)
+        assert out.counters == _reference_sweep(problem, 2, strategy).counters
+
+    @pytest.mark.parametrize("strategy", [d.MAXIMAL_LEX, d.maximal_seeded(5), d.JOIN])
+    def test_variable_in_no_stored_scope(self, w4, strategy):
+        """Variable 2 has only bottom unary values and no scope of arity 2..k to project."""
+        problem = d.Problem(w4, (2, 2, 2), {
+            (0,): d.Constraint((0,), [1, 0]),
+            (1,): d.Constraint((1,), [0, 0]),
+            (2,): d.Constraint((2,), [4, 4]),
+            (0, 1): d.Constraint((0, 1), [1, 2, 0, 3]),
+        })
+        out = d.enforce_k_hyperarc(problem, 2, strategy)
+        assert out.inconsistent
+        assert d.brute_force_solve(problem).inconsistent
+        assert out.problem is None
+        # (0, 1) is projected onto 0 and onto 1, two live rows of two
+        # entries each time; the visit of variable 2 then ends the run.
+        assert out.counters == d.Counters(3, 2, 16)
         assert out.counters == _reference_sweep(problem, 2, strategy).counters

@@ -6,7 +6,7 @@ import pytest
 
 import drlcsp as d
 from conftest import clone
-from drlcsp.model import rows
+from drlcsp.model import rows, table_groups
 
 
 class TestNormalize:
@@ -128,6 +128,35 @@ class TestCombinedValue:
         p = d.gen_random_problem(godel3, 2, 2, 3, 2, seed=1)
         with pytest.raises(ValueError, match="outside its variable's domain"):
             d.combined_value(p, assignment)
+
+
+class TestTableGroups:
+    def test_all_top_flags_the_coordinates_whose_rows_all_hold_top(self):
+        b = d.boolean()
+        flags = set()
+        for alg in (d.lukasiewicz_chain(4), d.direct_product(b, b)):
+            for seed in range(10):
+                raw = d.gen_random_problem(alg, 4, 2 + seed % 2, 8, 3, seed)
+                dead = clone(raw)
+                dead.unary(seed % 4).values[0] = alg.bottom
+                for problem in (raw, dead):
+                    for k in (2, 3):
+                        grouped = []
+                        for group in table_groups(problem, k):
+                            assert group.all_top.shape == (len(group.sizes), len(group.scopes))
+                            for j, scope in enumerate(group.scopes):
+                                table = np.array(problem.constraints[scope].values)
+                                sizes = tuple(problem.domain_sizes[v] for v in scope)
+                                assert sizes == group.sizes
+                                assert group.stack[j].tolist() == table.tolist()
+                                for pos in range(len(scope)):
+                                    expected = (rows(table, sizes, pos) == alg.top).any(axis=1).all()
+                                    assert group.all_top[pos, j] == expected
+                                    flags.add(bool(expected))
+                            grouped += group.scopes
+                        # every stored scope of arity 2..k, and no other, in exactly one group
+                        assert sorted(grouped) == sorted(s for s in problem.constraints if 2 <= len(s) <= k)
+        assert flags == {True, False}
 
 
 class TestConsistencyPredicate:
