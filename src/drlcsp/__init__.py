@@ -1,12 +1,12 @@
 """Soft constraint solving over finite divisible residuated lattices."""
 
 from .algebra import (
+    CARRIER_CAP,
     AxiomCheck,
     AxiomReport,
     FiniteDRL,
     VarietyFlags,
     boolean,
-    carrier_cap,
     check_axioms,
     classify,
     derive_lattice,

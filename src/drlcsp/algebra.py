@@ -30,7 +30,6 @@ temporary array exceeds max(2**18, size**2) entries.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator
@@ -45,18 +44,13 @@ from .errors import (
     SizeOverflow,
 )
 
-DEFAULT_CARRIER_CAP = 4096
-CARRIER_CAP_ENV = "DRL_SOFT_CARRIER_CAP"
+# The largest carrier a constructor builds or a file may declare.
+CARRIER_CAP = 4096
 
 # Laws are evaluated on blocks of about this many (x, y, z) points.
 _POINT_BUDGET = 1 << 18
 
 _TABLES = ("leq", "meet", "join", "otimes", "residuum")
-
-
-def carrier_cap() -> int:
-    raw = os.environ.get(CARRIER_CAP_ENV, "").strip()
-    return int(raw) if raw else DEFAULT_CARRIER_CAP
 
 
 def _in_carrier(table: np.ndarray, n: int) -> bool:
@@ -590,12 +584,16 @@ def residuum_from_tables(leq, otimes) -> np.ndarray:
     x -> y is the rank-maximal z with x * z <= y. Raises ResiduationFails,
     with the lexicographically least failing triple, when the result
     violates the residuation law, which signals that the inputs were not
-    a bounded lattice with a monotone product distributing over joins.
+    a bounded lattice with a monotone product distributing over joins,
+    and ValueError unless `otimes` is an n x n table over the carrier.
     """
     L = _as_bool_matrix(leq)
-    O = np.asarray(otimes, dtype=np.intp)
     if L.all(axis=1).sum() != 1:
         raise NotBounded()
+    O = np.asarray(otimes)
+    if O.shape != L.shape or not _in_carrier(O, len(L)):
+        raise ValueError(f"otimes table is not {len(L)}x{len(L)} over the carrier")
+    O = O.astype(np.intp, copy=False)
 
     by_rank = np.argsort(-_rank(L))
     R = np.empty_like(O)
@@ -646,9 +644,8 @@ def classify(algebra: FiniteDRL) -> VarietyFlags:
 
 
 def _require_within_cap(size: int) -> None:
-    cap = carrier_cap()
-    if size > cap:
-        raise SizeOverflow(size, cap)
+    if size > CARRIER_CAP:
+        raise SizeOverflow(size, CARRIER_CAP)
 
 
 def _chain_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -9,12 +9,12 @@ and each of those table entries v is replaced by the residuum x -> v.
 The run aborts as inconsistent as soon as every unary value of the
 visited variable is bottom.
 
-`project` works on a row view of the table (`model.rows`): one row per
-domain value of the variable, holding the entries compatible with it in
-canonical tuple order. It chooses x for all live values (unary value
-not bottom) at once and updates the rows with one residuum gather. The
-maximal candidates of each row come from the strict order among the
-distinct candidates, tested against a presence mask per row.
+`project` gathers the rows (`model.row_index`) of the live values (unary
+value not bottom), each holding the entries compatible with its value
+in canonical tuple order, chooses x for all of them at once and updates
+the rows with one residuum gather. The maximal candidates of each row
+come from the strict order among the distinct candidates, tested
+against a presence mask per row.
 
 The worklist form of the algorithm re-queues a variable after one of
 its unary values drops to bottom. Over a divisible residuated lattice
@@ -49,10 +49,10 @@ Entries only rise, and x -> top = top, so a row that holds top keeps
 it, and live sets only shrink: a pair (scope, variable) whose rows all
 hold top in the input (`TableGroup.all_top`, found once per table
 shape by `model.table_groups`) stays a no-op whenever the sweep gets
-to it. That mask is the only skip. The sweep does not call `project`
-on a marked pair and does only its bookkeeping: `project_calls`,
-`inner_tuple_iterations` over the live rows, and under maximal-seeded
-one skipped draw per live value. `project` itself has one path per
+to it. That mask is the only skip. The sweep counts every pair itself
+(`project_calls`, `inner_tuple_iterations` over the live rows), does
+not call `project` on a marked pair, and under maximal-seeded skips one
+draw per live value instead. `project` itself has one path per
 strategy. Outputs, counters and the seeded stream are those of calling
 `project` on every pair; on randomly generated instances most pairs
 are marked.
@@ -76,7 +76,7 @@ from math import prod
 
 import numpy as np
 
-from .model import Constraint, Problem, Scope, intp_array, rows, scope_sizes, table_groups
+from .model import Constraint, Problem, Scope, intp_array, row_index, scope_sizes, table_groups
 from .rng import SplitMix64, check_seed
 
 _STRATEGY_KINDS = ("maximal-lex", "maximal-seeded", "join")
@@ -148,16 +148,16 @@ def project(
     strategy: Strategy = MAXIMAL_LEX,
     *,
     rng: SplitMix64 | None = None,
-    counters: Counters | None = None,
 ) -> bool:
     """Project one constraint onto one of its variables, in place.
 
     Returns True iff some unary value of `var` dropped to bottom. The
     caller must hold exclusive access to the problem. Tables may be
     lists or `intp` arrays; an array is updated in place, a list gets
-    its new values written back. There is one path per strategy: on
-    rows that all hold top it chooses top and leaves both tables as they
-    were, which is why the sweep may skip such a call (module docstring).
+    its new values written back. It counts nothing; the sweep counts
+    its pairs. There is one path per strategy: on rows that all hold top
+    it chooses top and leaves both tables as they were, which is why the
+    sweep may skip such a call (module docstring).
     """
     scope = tuple(scope)
     constraint = problem.constraints.get(scope)
@@ -176,10 +176,8 @@ def project(
     unary = np.asarray(unary_c.values)
     live = unary != alg.bottom
     sizes = scope_sizes(scope, problem.domain_sizes)
-    index = rows(np.arange(table.size), sizes, scope.index(var))[live]
+    index = row_index(sizes, scope.index(var), live)
     cand = table[index]  # cand[r, t]: entry of tuple t at the r-th live value
-    if counters is not None:
-        counters.inner_tuple_iterations += 2 * cand.size
 
     if strategy.kind == "join":
         acc = cand
@@ -227,11 +225,12 @@ def enforce_k_hyperarc(
     bottom unary values: after the projection that leaves it none, or at
     the end of its visit if it has no stored scope of arity 2..k.
     `main_loop_iterations` counts the visited variables,
-    which is n on every run that ends consistent.
+    which is n on every run that ends consistent; every pair reached,
+    skipped or not, counts one call and twice its live rows' entries.
 
     The pairs flagged in `TableGroup.all_top` are skipped with their
-    counters and draws; the module docstring shows that such a call
-    could change nothing.
+    draws; the module docstring shows that such a call could change
+    nothing.
     """
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -259,11 +258,11 @@ def enforce_k_hyperarc(
         counters.main_loop_iterations += 1
         live = int(np.count_nonzero(work.unary(i).values != bottom))
         for scope, skip, row_len in pairs[i]:
+            counters.inner_tuple_iterations += 2 * live * row_len
             if skip:
-                counters.inner_tuple_iterations += 2 * live * row_len
                 if rng is not None:
                     rng.skip(live)
-            elif project(work, scope, i, strategy, rng=rng, counters=counters):
+            elif project(work, scope, i, strategy, rng=rng):
                 live = int(np.count_nonzero(work.unary(i).values != bottom))
             counters.project_calls += 1
             if not live:

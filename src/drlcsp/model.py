@@ -2,10 +2,10 @@
 
 A problem holds one dense value table per constraint scope, as a
 Python list of ints. Tables are indexed in row-major order: the last
-variable of the (sorted) scope varies fastest, and `rows` views a table
-as one row per value of one of its variables. Raw inputs may repeat
-scopes; `normalize` merges them, fills in missing unary constraints,
-and drops domain values whose unary value is bottom.
+variable of the (sorted) scope varies fastest, and `row_index` lays a
+table out as one row per value of one of its variables. Raw inputs may
+repeat scopes; `normalize` merges them, fills in missing unary
+constraints, and drops domain values whose unary value is bottom.
 """
 
 from __future__ import annotations
@@ -86,17 +86,14 @@ def intp_array(values: list[int]) -> np.ndarray:
     return np.fromiter(values, np.intp, len(values))
 
 
-def rows(table: np.ndarray, sizes: tuple[int, ...], pos: int) -> np.ndarray:
-    """A flat row-major table as one row per value of coordinate `pos`.
-
-    `sizes` are the scope's domain sizes. The table is reshaped to them
-    and axis `pos` is moved to the front, so row a holds the entries
-    whose coordinate `pos` is a, in the canonical order of the other
-    coordinates. The result may be a copy; to write through it, take the
-    rows of `np.arange(len(table))` as indices.
+def row_index(sizes: tuple[int, ...], pos: int, live: np.ndarray | None = None) -> np.ndarray:
+    """Flat row-major positions of a table of `sizes`, one row per value of
+    coordinate `pos` in the canonical order of the other coordinates, and
+    only the rows of the values set in the bool mask `live` when given.
     """
     order = (pos, *range(pos), *range(pos + 1, len(sizes)))
-    return table.reshape(sizes).transpose(order).reshape(sizes[pos], -1)
+    index = np.arange(prod(sizes)).reshape(sizes).transpose(order).reshape(sizes[pos], -1)
+    return index if live is None else index[live]
 
 
 @dataclass
@@ -105,7 +102,7 @@ class TableGroup:
 
     `stack[j]` is a new `intp` copy of the table of `scopes[j]`, and
     `all_top[pos, j]` says whether every row of that table at coordinate
-    `pos` (see `rows`) holds top. A row that holds top has the witness
+    `pos` (see `row_index`) holds top. A row that holds top has the witness
     top, since u * top = u and top -> v = v, so where the flag is set a
     projection onto that coordinate, or a witness test there, is a
     no-op; this flag is the one place that decides it.
@@ -121,9 +118,9 @@ def table_groups(problem: Problem, k: int) -> list[TableGroup]:
     """The stored scopes of arity 2..k, grouped by their `sizes`.
 
     Each group's tables are read with one `np.fromiter` into an
-    `[m, prod(sizes)]` array, and `all_top` is found with one reduction
-    per coordinate, so the cost per group does not grow with m in numpy
-    calls. Scopes keep the constraint store's order.
+    `[m, prod(sizes)]` array, and `all_top` is found with one row gather
+    and reduction per coordinate, so the cost per group does not grow
+    with m in numpy calls. Scopes keep the constraint store's order.
     """
     by_sizes: dict[tuple[int, ...], list[Scope]] = {}
     for scope in problem.constraints:
@@ -135,10 +132,9 @@ def table_groups(problem: Problem, k: int) -> list[TableGroup]:
         m, length = len(scopes), prod(sizes)
         values = chain.from_iterable([problem.constraints[s].values for s in scopes])
         stack = np.fromiter(values, np.intp, m * length).reshape(m, length)
-        held = (stack == top).reshape(m, *sizes)
-        axes = range(1, len(sizes) + 1)  # those of the coordinates in `held`
+        held = stack == top
         all_top = np.array([
-            held.any(axis=tuple(a for a in axes if a != pos + 1)).all(axis=1) for pos in range(len(sizes))
+            held.take(row_index(sizes, pos), axis=1).any(axis=2).all(axis=1) for pos in range(len(sizes))
         ])
         groups.append(TableGroup(sizes, scopes, stack, all_top))
     return groups
@@ -223,11 +219,12 @@ def combined_value(problem: Problem | RawProblem, assignment: Assignment) -> int
 def is_k_hyperarc_consistent(problem: Problem, k: int) -> Violation | None:
     """Check the consistency equation on every stored scope of arity 2..k.
 
-    For each variable i of such a scope and each domain value a with a
-    non-bottom unary value, some extension tuple t must satisfy
+    Every variable must keep a live value (unary value not bottom), else
+    its unary scope fails at value 0. For each variable i of a scope of
+    arity 2..k and each live value a, some extension tuple t must satisfy
     C_i(a) = C_i(a) * C_scope(t . a). Returns None when every point has
     a witness, else the first violation in canonical order (scopes
-    sorted, then variable, then value).
+    sorted, unary ones among them, then variable, then value).
 
     A scope whose rows all hold top at every coordinate
     (`TableGroup.all_top`) has the witness top everywhere, so it is
@@ -237,20 +234,24 @@ def is_k_hyperarc_consistent(problem: Problem, k: int) -> Violation | None:
     if k < 2:
         raise ValueError("k must be at least 2")
     alg = problem.algebra
-    unsettled = []
+    unsettled = [((v,), None) for v, size in enumerate(problem.domain_sizes)
+                 if problem.unary(v).values.count(alg.bottom) == size]  # no live value
     for group in table_groups(problem, k):
         settled = group.all_top.all(axis=0)
         unsettled += [(group.scopes[j], group.stack[j]) for j in np.flatnonzero(~settled).tolist()]
     unsettled.sort(key=lambda item: item[0])
     unary: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for scope, table in unsettled:
+        if table is None:
+            return Violation(scope, scope[0], 0)
         sizes = scope_sizes(scope, problem.domain_sizes)
         for pos, var in enumerate(scope):
             if var not in unary:
                 u = intp_array(problem.unary(var).values)
-                unary[var] = (u[:, None], u == alg.bottom)
-            u, dead = unary[var]
-            witnessed = dead | (alg.otimes[u, rows(table, sizes, pos)] == u).any(axis=1)
+                live = u != alg.bottom
+                unary[var] = (live, u[live, None])
+            live, u = unary[var]
+            witnessed = (alg.otimes[u, table[row_index(sizes, pos, live)]] == u).any(axis=1)
             if not witnessed.all():
-                return Violation(scope, var, int(witnessed.argmin()))
+                return Violation(scope, var, int(np.flatnonzero(live)[witnessed.argmin()]))
     return None

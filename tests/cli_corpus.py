@@ -23,8 +23,6 @@ from pathlib import Path
 
 import drlcsp as d
 
-CAP_ENV = "DRL_SOFT_CARRIER_CAP"
-
 LATTICES = {
     "chain3.json": [[1, 1, 1], [0, 1, 1], [0, 0, 1]],
     "diamond.json": {"leq": [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]]},
@@ -265,10 +263,10 @@ def _output(argv: list[str]) -> str | None:
     return path.read_text() if path.exists() else None
 
 
-def run(main, setenv, readouterr) -> tuple[int, str]:
+def run(main, set_cap, readouterr) -> tuple[int, str]:
     """Run the corpus in the current directory: (number of commands, digest).
 
-    `setenv(value)` sets the carrier cap, or clears it for None;
+    `set_cap(value)` sets the carrier cap, or restores the default for None;
     `readouterr()` returns and clears what the command wrote to stdout
     and stderr.
     """
@@ -276,7 +274,7 @@ def run(main, setenv, readouterr) -> tuple[int, str]:
     digest = hashlib.sha256()
     count = 0
     for cap, argv in commands():
-        setenv(cap)
+        set_cap(cap)
         for stale in ("refused.json", "capped.json"):
             Path(stale).unlink(missing_ok=True)
         code = main(argv)

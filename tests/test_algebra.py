@@ -230,6 +230,16 @@ class TestResiduumDerivation:
         with pytest.raises(d.ResiduationFails):
             d.residuum_from_tables(leq, otimes)
 
+    @pytest.mark.parametrize("otimes", [
+        [[0, 0], [0, 5]],  # past the carrier
+        [[0, 0], [0, -1]],  # would index from the end
+        [[0, 0], [0, 0.5]],  # would be truncated to 0
+        [[0, 0, 0], [0, 1, 1]],  # 2x3
+    ], ids=["too-large", "negative", "fraction", "not-square"])
+    def test_otimes_outside_the_carrier_rejected(self, otimes):
+        with pytest.raises(ValueError, match="otimes table is not 2x2 over the carrier"):
+            d.residuum_from_tables([[1, 1], [0, 1]], otimes)
+
 
 def _sup_residuum(leq, join, otimes):
     """Reference: x -> y as the join of {z : x * z <= y}, folded from bottom."""
@@ -473,7 +483,7 @@ class TestBuiltins:
         lambda size: d.heyting_from_lattice([[i <= j for j in range(size)] for i in range(size)]),
     ], ids=["godel", "lukasiewicz", "weighted", "heyting"])
     def test_carrier_cap(self, build, monkeypatch):
-        monkeypatch.setenv("DRL_SOFT_CARRIER_CAP", "8")
+        monkeypatch.setattr(algebra, "CARRIER_CAP", 8)
         assert build(8).size == 8
         with pytest.raises(d.SizeOverflow) as info:
             build(9)
@@ -532,17 +542,10 @@ class TestDirectProduct:
         assert np.array_equal(d.residuum_from_tables(p.leq, p.otimes), p.residuum)
 
     def test_size_overflow(self, w10, monkeypatch):
-        monkeypatch.setenv("DRL_SOFT_CARRIER_CAP", "120")
+        monkeypatch.setattr(algebra, "CARRIER_CAP", 120)
         with pytest.raises(d.SizeOverflow) as info:
             d.direct_product(w10, w10)
         assert (info.value.size, info.value.cap) == (121, 120)
-
-    def test_cap_env_override(self, w10, monkeypatch):
-        monkeypatch.setenv("DRL_SOFT_CARRIER_CAP", "100")
-        with pytest.raises(d.SizeOverflow):
-            d.direct_product(w10, w10)
-        monkeypatch.setenv("DRL_SOFT_CARRIER_CAP", "200")
-        assert d.direct_product(w10, w10).size == 121
 
 
 class TestExpandCIS:

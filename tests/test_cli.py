@@ -6,6 +6,7 @@ import pytest
 
 import cli_corpus
 import drlcsp as d
+from drlcsp import algebra
 from drlcsp.cli import main
 
 # Computed by `cli_corpus.run` when a non-integer `maximal-seeded` seed began
@@ -104,14 +105,14 @@ class TestAlgebraCommands:
 
     @pytest.mark.parametrize("kind,n", [("godel", 9), ("lukasiewicz", 9), ("weighted", 8)])
     def test_make_obeys_carrier_cap(self, tmp_path, capsys, monkeypatch, kind, n):
-        monkeypatch.setenv("DRL_SOFT_CARRIER_CAP", "8")
+        monkeypatch.setattr(algebra, "CARRIER_CAP", 8)
         out = tmp_path / "big.json"
         assert main(["algebra", "make", "--kind", kind, "--n", str(n), "-o", str(out)]) == 3
         assert "carrier of size 9 exceeds the cap 8" in capsys.readouterr().err
         assert not out.exists()
 
     def test_make_product_obeys_carrier_cap(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("DRL_SOFT_CARRIER_CAP", "8")
+        monkeypatch.setattr(algebra, "CARRIER_CAP", 8)
         left, right = tmp_path / "b.json", tmp_path / "g5.json"
         left.write_text(d.save_algebra(d.boolean()))
         right.write_text(d.save_algebra(d.godel_chain(5)))
@@ -121,13 +122,13 @@ class TestAlgebraCommands:
         assert main(argv) == 3
         assert "carrier of size 10 exceeds the cap 8" in capsys.readouterr().err
         assert not out.exists()
-        # The environment variable is the only cap; there is no flag to raise it.
+        # The cap is a constant; there is no flag to raise it.
         assert main(argv + ["--cap", "100"]) == 1
         assert "unrecognized arguments: --cap 100" in capsys.readouterr().err
         assert not out.exists()
 
     def test_make_heyting_obeys_carrier_cap(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("DRL_SOFT_CARRIER_CAP", "8")
+        monkeypatch.setattr(algebra, "CARRIER_CAP", 8)
         lattice = tmp_path / "chain9.json"
         lattice.write_text(json.dumps([[int(i <= j) for j in range(9)] for i in range(9)]))
         out = tmp_path / "h.json"
@@ -323,12 +324,9 @@ class TestUsageErrors:
 def test_frozen_corpus(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
 
-    def setenv(cap):
-        if cap is None:
-            monkeypatch.delenv(cli_corpus.CAP_ENV, raising=False)
-        else:
-            monkeypatch.setenv(cli_corpus.CAP_ENV, str(cap))
+    def set_cap(cap):
+        monkeypatch.setattr(algebra, "CARRIER_CAP", d.CARRIER_CAP if cap is None else cap)
 
-    count, digest = cli_corpus.run(main, setenv, lambda: tuple(capsys.readouterr()))
+    count, digest = cli_corpus.run(main, set_cap, lambda: tuple(capsys.readouterr()))
     assert count >= 1000
     assert digest == CORPUS_DIGEST

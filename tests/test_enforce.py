@@ -83,10 +83,9 @@ class TestProject:
             d.project(weighted_example, (0,), 0)
 
     def test_counters_track_tuple_visits(self, weighted_example):
-        counters = d.Counters()
-        d.project(clone(weighted_example), (0, 1), 0, counters=counters)
-        # 2 domain values x 2 extension tuples, visited once to choose and once to rewrite
-        assert counters.inner_tuple_iterations == 8
+        # two variables visited, one pair each; each pair has 2 live values x
+        # 2 extension tuples, visited once to choose and once to rewrite
+        assert d.enforce_k_hyperarc(weighted_example, 2).counters == d.Counters(2, 2, 16)
 
 
 def _top_in_every_live_row(bb_square):
@@ -110,11 +109,8 @@ class TestNoopProjection:
     def test_problem_left_unchanged(self, bb_square, strategy):
         p = _top_in_every_live_row(bb_square)
         before = clone(p)
-        counters = d.Counters()
-        assert d.project(p, (0, 1), 0, strategy, counters=counters) is False
+        assert d.project(p, (0, 1), 0, strategy) is False
         assert p == before
-        # the no-op projection still counts the entries of its two live rows
-        assert counters.inner_tuple_iterations == 2 * 2 * 2
 
     def test_seeded_skip_draws_once_per_live_value(self, bb_square):
         moved = 0
@@ -355,7 +351,8 @@ def _reference_sweep(problem, k, strategy, after_project=None):
 
     Variables in id order, each against its stored scopes of arity 2..k
     in sorted order; after each call, and at the end of each visit, stop
-    if every unary value of the visited variable is bottom.
+    if every unary value of the visited variable is bottom. Before each
+    call, count twice the entries of the rows of its live values.
     `after_project(before, after)` sees the problem around each call.
     """
     work = clone(problem)
@@ -367,7 +364,10 @@ def _reference_sweep(problem, k, strategy, after_project=None):
         for scope in sorted(work.constraints):
             if 2 <= len(scope) <= k and i in scope:
                 before = clone(work) if after_project else None
-                d.project(work, scope, i, strategy, rng=rng, counters=counters)
+                live = sum(v != bottom for v in work.unary(i).values)
+                row_len = len(work.constraints[scope].values) // work.domain_sizes[i]
+                counters.inner_tuple_iterations += 2 * live * row_len
+                d.project(work, scope, i, strategy, rng=rng)
                 if after_project:
                     after_project(before, work)
                 counters.project_calls += 1

@@ -9,7 +9,7 @@ import orjson
 import pytest
 
 import drlcsp as d
-from drlcsp import formats
+from drlcsp import algebra, formats
 from drlcsp.cli import main
 from conftest import scalar_gen_random_problem
 from drlcsp.model import iter_constraints
@@ -392,7 +392,7 @@ class TestProblemRoundTrip:
 
 class TestCarrierCap:
     def test_oversized_algebra_refused_before_tables_are_read(self, godel3, monkeypatch):
-        monkeypatch.setenv("DRL_SOFT_CARRIER_CAP", "2")
+        monkeypatch.setattr(algebra, "CARRIER_CAP", 2)
         with pytest.raises(d.SizeOverflow):
             d.load_algebra(d.save_algebra(godel3))
         # The cap is checked first: malformed tables are never looked at.
@@ -401,13 +401,13 @@ class TestCarrierCap:
         # orjson reads a size past 64 bits as a float; it is still over the cap.
         with pytest.raises(d.SizeOverflow):
             d.load_algebra(json.dumps({"size": 2**64, "top": 0, "bottom": 0}))
-        monkeypatch.setenv("DRL_SOFT_CARRIER_CAP", "3")
+        monkeypatch.setattr(algebra, "CARRIER_CAP", 3)
         assert d.load_algebra(d.save_algebra(godel3)) == godel3
 
     def test_cli_exits_with_the_algebra_error_code(self, godel3, tmp_path, monkeypatch, capsys):
         path = tmp_path / "godel3.json"
         path.write_text(d.save_algebra(godel3))
-        monkeypatch.setenv("DRL_SOFT_CARRIER_CAP", "2")
+        monkeypatch.setattr(algebra, "CARRIER_CAP", 2)
         assert main(["algebra", "check", str(path)]) == 3
         assert "exceeds the cap 2" in capsys.readouterr().err
 

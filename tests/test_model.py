@@ -6,7 +6,7 @@ import pytest
 
 import drlcsp as d
 from conftest import clone
-from drlcsp.model import rows, table_groups
+from drlcsp.model import row_index, table_groups
 
 
 class TestNormalize:
@@ -130,6 +130,29 @@ class TestCombinedValue:
             d.combined_value(p, assignment)
 
 
+class TestRowIndex:
+    @pytest.mark.parametrize("sizes", [(1, 3), (3, 1), (1, 1), (2, 3), (2, 1, 3), (3, 2, 2), (1, 2, 1, 3)])
+    def test_rows_match_combined_value(self, sizes):
+        # One table holding its own flat positions: under weighted(L), whose
+        # top is 0, combined_value reads back a tuple's row-major position.
+        length = int(np.prod(sizes))
+        scope = tuple(range(len(sizes)))
+        raw = d.RawProblem(d.weighted(length), sizes, [d.Constraint(scope, list(range(length)))])
+        rng = random.Random(len(sizes) * 10 + length)
+        for pos, size in enumerate(sizes):
+            others = [range(s) for s in sizes[:pos] + sizes[pos + 1:]]
+            expected = [
+                [d.combined_value(raw, (*t[:pos], a, *t[pos:])) for t in itertools.product(*others)]
+                for a in range(size)
+            ]
+            assert row_index(sizes, pos).tolist() == expected
+            for _ in range(4):
+                live = np.array([rng.random() < 0.5 for _ in range(size)])
+                got = row_index(sizes, pos, live)
+                assert got.shape == (int(live.sum()), length // size)
+                assert got.tolist() == [row for row, keep in zip(expected, live) if keep]
+
+
 class TestTableGroups:
     def test_all_top_flags_the_coordinates_whose_rows_all_hold_top(self):
         b = d.boolean()
@@ -150,7 +173,7 @@ class TestTableGroups:
                                 assert sizes == group.sizes
                                 assert group.stack[j].tolist() == table.tolist()
                                 for pos in range(len(scope)):
-                                    expected = (rows(table, sizes, pos) == alg.top).any(axis=1).all()
+                                    expected = (table[row_index(sizes, pos)] == alg.top).any(axis=1).all()
                                     assert group.all_top[pos, j] == expected
                                     flags.add(bool(expected))
                             grouped += group.scopes
@@ -184,6 +207,21 @@ class TestConsistencyPredicate:
             (0, 1): d.Constraint((0, 1), [0, 0, 4, 4]),
         })
         assert d.is_k_hyperarc_consistent(p, 2) is None
+
+    def test_variable_without_live_value_is_a_violation(self, w4):
+        # the binary table is all top, so only the node condition can fail
+        p = d.Problem(w4, (2, 2, 2), {
+            (0,): d.Constraint((0,), [1, 0]),
+            (1,): d.Constraint((1,), [0, 0]),
+            (2,): d.Constraint((2,), [4, 4]),
+            (0, 1): d.Constraint((0, 1), [0, 0, 0, 0]),
+        })
+        assert d.is_k_hyperarc_consistent(p, 2) == d.Violation((2,), 2, 0)
+        assert d.brute_force_solve(p).inconsistent
+        assert d.enforce_k_hyperarc(p, 2).inconsistent
+        # in canonical order the unary scope (0,) precedes (0, 1)
+        p.unary(0).values[:] = [4, 4]
+        assert d.is_k_hyperarc_consistent(p, 2) == d.Violation((0,), 0, 0)
 
     def test_scopes_above_k_ignored(self, godel3):
         raw = d.RawProblem(godel3, (2, 2, 2), [
@@ -270,13 +308,15 @@ def _reference_predicate(problem, k):
     """The predicate one scope at a time, with a gather for every row."""
     alg = problem.algebra
     for scope in sorted(problem.constraints):
+        if len(scope) == 1 and all(v == alg.bottom for v in problem.unary(scope[0]).values):
+            return d.Violation(scope, scope[0], 0)
         if not 2 <= len(scope) <= k:
             continue
         table = np.array(problem.constraints[scope].values)
         sizes = tuple(problem.domain_sizes[v] for v in scope)
         for pos, var in enumerate(scope):
             u = np.array(problem.unary(var).values)[:, None]
-            witnessed = (alg.otimes[u, rows(table, sizes, pos)] == u).any(axis=1) | (u[:, 0] == alg.bottom)
+            witnessed = (alg.otimes[u, table[row_index(sizes, pos)]] == u).any(axis=1) | (u[:, 0] == alg.bottom)
             if not witnessed.all():
                 return d.Violation(scope, var, int(witnessed.argmin()))
     return None
@@ -292,17 +332,21 @@ class TestPredicateAgainstReference:
             d.godel_chain(5),
         ]
         verdicts = {"raw": set(), "enforced": set()}
+        node_violations = 0
         for alg in algebras:
             for seed in range(20):
                 n = 3 + seed % 3
                 raw = d.gen_random_problem(alg, n, 2 + seed % 2, n + 2 + seed % 3, 3, seed)
                 dead = clone(raw)
                 dead.unary(seed % n).values[0] = alg.bottom
+                emptied = clone(raw)
+                emptied.unary((seed + 1) % n).values[:] = [alg.bottom] * raw.domain_sizes[(seed + 1) % n]
                 for k in (2, 3):
-                    for problem in (raw, dead):
+                    for problem in (raw, dead, emptied):
                         got = d.is_k_hyperarc_consistent(problem, k)
                         assert got == _reference_predicate(problem, k)
                         verdicts["raw"].add(got is None)
+                        node_violations += got is not None and len(got.scope) == 1
                     for strategy in (d.MAXIMAL_LEX, d.maximal_seeded(seed), d.JOIN):
                         out = d.enforce_k_hyperarc(raw, k, strategy)
                         if out.inconsistent:
@@ -313,3 +357,4 @@ class TestPredicateAgainstReference:
                             verdicts["enforced"].add(got is None)
         # both verdicts occur on raw inputs and on enforced outputs
         assert verdicts == {"raw": {True, False}, "enforced": {True, False}}
+        assert node_violations
