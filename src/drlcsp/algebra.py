@@ -13,12 +13,25 @@ admitted z of highest linear-extension rank (one row gather per x), and
 validated by the law checker's own `residuation` decision, which falls
 back to the blocked evaluator only to find a failing triple.
 
-The law check decides the slow laws on whole tables: transitivity of
-the order with one boolean matrix product; meets and joins by counting
-common bounds, on a transitive order; monotonicity on the covering
-pairs of a partial order; distributivity over joins from residuation
-on a partial order; associativity, residuation and the residuum
-exchange law by row gathers.
+The law check decides most laws on whole tables, from facts that one
+check computes at most once each, on first use. One count product
+`between = L @ L` gives transitivity, the partial-order test and the
+covering pairs; reflexivity, antisymmetry and the bounds read the
+diagonal, that test, one row or one column. Meets and joins are
+decided by counting common bounds, on a transitive order; monotonicity
+on the covering pairs of a partial order; distributivity over joins
+from residuation on a partial order; residuation and `join`'s
+associativity by row gathers. Associativity of the product is checked
+on the join-irreducibles J alone (the elements with exactly one lower
+cover) when the order is partial, `bottom` is least, `join` gives the
+lubs, the product commutes and residuation holds: x * _ is then a left
+adjoint, so it preserves every join, the empty one included, and so
+does _ * x; both sides of the law preserve joins in each argument, and
+every element is the join of the members of J below it. Otherwise the
+whole carrier is gathered. The residuum exchange law follows for
+y <= z from associativity, divisibility and z meet y = y, as
+(x*z)*(z->y) = x*(z*(z->y)) = x*(z meet y) = x*y; otherwise it is
+gathered one z at a time.
 Each of these returns True only when its law holds at every point.
 Every other law, and a law that its decision does not confirm, goes to
 the blocked evaluator, which visits all size**3 points in blocks of
@@ -173,8 +186,8 @@ def _first_failures(a, laws: Iterable[Callable]) -> Iterator[tuple[int, int, int
     Witnesses are lexicographically least. `a` is an algebra, or any
     object with the `size` and the tables and elements that the laws
     read. A law with an entry in `_DECISIONS` is first decided on whole
-    tables; when that returns True the law holds and no point is
-    visited. Every other law, and every law its decision does not
+    tables, from one `_Facts` that all the laws share; when that returns
+    True the law holds and no point is visited. Every other law, and every law its decision does not
     confirm, goes to the blocked evaluator, which finds the exact
     verdict and the witness. A law must be written with
     numpy-compatible operations so the same code evaluates pointwise on
@@ -185,9 +198,10 @@ def _first_failures(a, laws: Iterable[Callable]) -> Iterator[tuple[int, int, int
     ids = np.arange(n)
     ys, zs = ids[None, :, None], ids[None, None, :]
     block = _block_rows(n)
+    facts = _Facts(a)
     for law in laws:
         decide = _DECISIONS.get(law)
-        if decide is not None and decide(a):
+        if decide is not None and decide(facts):
             yield None
             continue
         witness = None
@@ -335,8 +349,8 @@ def _count_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return A.astype(np.float32) @ B.astype(np.float32)
 
 
-def _transitive(L: np.ndarray) -> bool:
-    return not (~L & (_count_product(L, L) > 0)).any()
+def _transitive(L: np.ndarray, between: np.ndarray) -> bool:
+    return not (~L & (between > 0)).any()
 
 
 def _common_bounds(L: np.ndarray, lower: bool) -> np.ndarray:
@@ -344,32 +358,114 @@ def _common_bounds(L: np.ndarray, lower: bool) -> np.ndarray:
     return _count_product(L.T, L) if lower else _count_product(L, L.T)
 
 
-def _order_defect(L: np.ndarray) -> str | None:
-    """The first partial-order property that L lacks, or None."""
+def _order_defect(L: np.ndarray, between: np.ndarray | None = None) -> str | None:
+    """The first partial-order property that L lacks, or None.
+
+    `between` is L @ L as counts, [x, z]: the number of y with x <= y <= z.
+    On a reflexive order its diagonal counts x itself and every y with
+    x <= y <= x, so it is all 1 exactly when L is antisymmetric.
+    """
     if not L.diagonal().all():
         return "reflexive"
-    if (L & L.T & ~np.eye(len(L), dtype=bool)).any():
+    if between is None:
+        between = _count_product(L, L)
+    if (between.diagonal() != 1).any():
         return "antisymmetric"
-    if not _transitive(L):
+    if not _transitive(L, between):
         return "transitive"
     return None
 
 
-# With m = x meet y below both x and y and the order transitive, every
-# element below m is a common lower bound; so all common lower bounds are
-# below m exactly when there are as many of them as elements below m.
-# Joins dually.
+class _fact:
+    """A `_Facts` attribute computed on its first read.
 
-def _decide_meet_is_glb(a) -> bool:
-    L, M, ids = a.leq, a.meet, np.arange(a.size)
-    return bool(L[M, ids[:, None]].all() and L[M, ids].all() and _transitive(L)
-                and (_common_bounds(L, lower=True) == L.sum(axis=0)[M]).all())
+    The value is stored in the instance's dict, where later reads find
+    it before this (non-data) descriptor, so they cost a plain lookup.
+    """
+
+    def __init__(self, compute: Callable):
+        self.compute, self.name = compute, compute.__name__
+
+    def __get__(self, facts: "_Facts", owner=None):
+        value = facts.__dict__[self.name] = self.compute(facts)
+        return value
 
 
-def _decide_join_is_lub(a) -> bool:
-    L, J, ids = a.leq, a.join, np.arange(a.size)
-    return bool(L[ids[:, None], J].all() and L[ids, J].all() and _transitive(L)
-                and (_common_bounds(L, lower=False) == L.sum(axis=1)[J]).all())
+class _Facts:
+    """The whole-table facts that the decisions of one law check share.
+
+    Each is computed at most once per check, and only when some decision
+    reads it.
+    """
+
+    def __init__(self, a):
+        self.a = a
+
+    @_fact
+    def between(self) -> np.ndarray:
+        return _count_product(self.a.leq, self.a.leq)
+
+    @_fact
+    def transitive(self) -> bool:
+        return _transitive(self.a.leq, self.between)
+
+    @_fact
+    def partial(self) -> bool:
+        return _order_defect(self.a.leq, self.between) is None
+
+    @_fact
+    def covers(self) -> np.ndarray:
+        # [x, y]: y covers x. On a partial order x < y has x and y between
+        # them, and nothing else exactly when y covers x.
+        return self.between == 2
+
+    # With m = x meet y below both x and y and the order transitive, every
+    # element below m is a common lower bound; so all common lower bounds are
+    # below m exactly when there are as many of them as elements below m.
+    # Joins dually.
+
+    @_fact
+    def meet_is_glb(self) -> bool:
+        L, M, ids = self.a.leq, self.a.meet, np.arange(self.a.size)
+        return bool(L[M, ids[:, None]].all() and L[M, ids].all() and self.transitive
+                    and (_common_bounds(L, lower=True) == L.sum(axis=0)[M]).all())
+
+    @_fact
+    def join_is_lub(self) -> bool:
+        L, J, ids = self.a.leq, self.a.join, np.arange(self.a.size)
+        return bool(L[ids[:, None], J].all() and L[ids, J].all() and self.transitive
+                    and (_common_bounds(L, lower=False) == L.sum(axis=1)[J]).all())
+
+    @_fact
+    def commutative(self) -> bool:
+        return bool((self.a.otimes == self.a.otimes.T).all())
+
+    @_fact
+    def residuation(self) -> bool:
+        a = self.a
+        LT = np.ascontiguousarray(a.leq.T)  # LT[y, z]: z <= y
+        block = _block_rows(a.size)
+        for start in range(0, a.size, block):
+            product_below = np.take(LT, a.otimes[start:start + block], axis=1)  # [y, x, z]: x * z <= y
+            below_residuum = LT[a.residuum[start:start + block]]  # [x, y, z]: z <= x -> y
+            if not np.array_equal(product_below.transpose(1, 0, 2), below_residuum):
+                return False
+        return True
+
+    @_fact
+    def otimes_associative(self) -> bool:
+        # On a partial order with least element `bottom` whose binary lubs
+        # `join` gives, residuation makes x * _ a left adjoint, so it
+        # preserves every join, the empty one (bottom) included; with
+        # commutativity so does _ * x. Then both (x*y)*z and x*(y*z)
+        # preserve joins in each argument, and every element is the join of
+        # the join-irreducibles below it (those with exactly one lower
+        # cover), so the law holds when it holds on those alone.
+        a = self.a
+        if (self.partial and a.leq[a.bottom].all() and self.commutative and self.join_is_lub
+                and self.residuation):
+            return _associative_on(a.otimes, np.flatnonzero(self.covers.sum(axis=0) == 1))
+        return _associative(a.otimes)
 
 
 def _narrow(T: np.ndarray) -> np.ndarray:
@@ -378,51 +474,58 @@ def _narrow(T: np.ndarray) -> np.ndarray:
     return T.astype(np.min_scalar_type(len(T) - 1))
 
 
-def _associative(T: np.ndarray) -> bool:
-    values, block = _narrow(T), _block_rows(len(T))
-    for start in range(0, len(T), block):
-        rows = T[start:start + block]  # [x, y]: x * y
+def _associative_on(T: np.ndarray, J) -> bool:
+    """Whether (x*y)*z == x*(y*z) for all x, y, z in J, an array of ids or
+    a slice (a slice takes views, not copies, of the tables)."""
+    values = _narrow(T)
+    TJ, left, right = T[J][:, J], values[:, J], values[J]  # TJ[y, z]: y * z
+    block = _block_rows(len(TJ) or 1)
+    for start in range(0, len(TJ), block):
         # [x, y, z]: (x*y)*z and x*(y*z)
-        if not np.array_equal(values[rows], np.take(values[start:start + block], T, axis=1)):
+        if (left[TJ[start:start + block]] != np.take(right[start:start + block], TJ, axis=1)).any():
             return False
     return True
 
 
-def _decide_otimes_monotone(a) -> bool:
+def _associative(T: np.ndarray) -> bool:
+    return _associative_on(T, slice(None))
+
+
+def _decide_otimes_monotone(f: _Facts) -> bool:
     # In a finite partial order every x < y is a chain of covers (pairs with
     # nothing strictly between), so the covering pairs suffice.
-    L, O = a.leq, a.otimes
-    if _order_defect(L) is not None:
+    if not f.partial:
         return False
-    strict = L & ~np.eye(a.size, dtype=bool)
-    xs, ys = np.nonzero(strict & ~(_count_product(strict, strict) > 0))
-    step = max(1, _POINT_BUDGET // a.size)
+    L, O = f.a.leq, f.a.otimes
+    xs, ys = np.nonzero(f.covers)
+    step = max(1, _POINT_BUDGET // f.a.size)
     return all(L[O[xs[i:i + step]], O[ys[i:i + step]]].all() for i in range(0, len(xs), step))
 
 
-def _decide_residuation(a) -> bool:
-    LT = np.ascontiguousarray(a.leq.T)  # LT[y, z]: z <= y
-    block = _block_rows(a.size)
-    for start in range(0, a.size, block):
-        product_below = np.take(LT, a.otimes[start:start + block], axis=1)  # [y, x, z]: x * z <= y
-        below_residuum = LT[a.residuum[start:start + block]]  # [x, y, z]: z <= x -> y
-        if not np.array_equal(product_below.transpose(1, 0, 2), below_residuum):
-            return False
-    return True
-
-
-def _decide_otimes_distributes_join(a) -> bool:
+def _decide_otimes_distributes_join(f: _Facts) -> bool:
     # When residuation holds on a partial order whose joins `join` gives,
     # x * _ has the upper adjoint x -> _ and so preserves joins. Otherwise
     # compare x * (y v z) with (x*y) v (x*z) one x at a time.
-    if (isinstance(a, FiniteDRL) and _order_defect(a.leq) is None and _decide_join_is_lub(a)
-            and _decide_residuation(a)):
+    a = f.a
+    if isinstance(a, FiniteDRL) and f.partial and f.join_is_lub and f.residuation:
         return True
     J = a.join
     return all(np.array_equal(row[J], J[row][:, row]) for row in a.otimes)
 
 
-def _decide_residuum_exchange(a) -> bool:
+def _decide_residuum_exchange(f: _Facts) -> bool:
+    # For y <= z: (x*z)*(z->y) = x*(z*(z->y)) = x*(z meet y) = x*y, by
+    # associativity, divisibility and z meet y = y. Otherwise compare the two
+    # sides one z at a time.
+    a = f.a
+    M, ids = a.meet, np.arange(a.size)
+    if (f.otimes_associative and np.array_equal(M, a.otimes[ids[:, None], a.residuum])
+            and (M.T == ids[:, None])[a.leq].all()):
+        return True
+    return _exchange_per_z(a)
+
+
+def _exchange_per_z(a) -> bool:
     O, R = a.otimes, a.residuum
     values = _narrow(O)
     for z in range(a.size):
@@ -433,13 +536,18 @@ def _decide_residuum_exchange(a) -> bool:
     return True
 
 
-_DECISIONS: dict[Callable, Callable] = {
-    _law_leq_transitive: lambda a: _transitive(a.leq),
-    _law_meet_is_glb: _decide_meet_is_glb,
-    _law_join_is_lub: _decide_join_is_lub,
-    _law_otimes_associative: lambda a: _associative(a.otimes),
-    _law_join_associative: lambda a: _associative(a.join),
-    _law_residuation: _decide_residuation,
+_DECISIONS: dict[Callable, Callable[[_Facts], bool]] = {
+    _law_leq_reflexive: lambda f: bool(f.a.leq.diagonal().all()),
+    _law_leq_antisymmetric: lambda f: f.partial,
+    _law_leq_transitive: lambda f: f.transitive,
+    _law_bottom_least: lambda f: bool(f.a.leq[f.a.bottom].all()),
+    _law_top_greatest: lambda f: bool(f.a.leq[:, f.a.top].all()),
+    _law_meet_is_glb: lambda f: f.meet_is_glb,
+    _law_join_is_lub: lambda f: f.join_is_lub,
+    _law_otimes_commutative: lambda f: f.commutative,
+    _law_otimes_associative: lambda f: f.otimes_associative,
+    _law_join_associative: lambda f: _associative(f.a.join),
+    _law_residuation: lambda f: f.residuation,
     _law_otimes_monotone: _decide_otimes_monotone,
     _law_otimes_distributes_join: _decide_otimes_distributes_join,
     _law_residuum_exchange: _decide_residuum_exchange,

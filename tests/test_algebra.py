@@ -643,6 +643,11 @@ class TestBlockedEvaluator:
         ("derived", "residuum-exchange", "residuum", (12, 0), 143, (132, 0, 12)),
         ("derived", "otimes-distributes-join", "otimes", (133, 135), 83, (133, 3, 132)),
         ("cis-reduct", "join-associative", "join", (132, 0), 133, (132, 0, 12)),
+        ("drl", "leq-reflexive", "leq", (137, 137), 0, (137, 0, 0)),
+        ("drl", "leq-antisymmetric", "leq", (140, 139), 1, (139, 140, 0)),
+        ("drl", "bottom-least", "leq", (0, 135), 0, (135, 0, 0)),
+        ("drl", "top-greatest", "leq", (133, 143), 0, (133, 0, 0)),
+        ("drl", "otimes-commutative", "otimes", (134, 135), 0, (134, 135, 0)),
     ])
     def test_failure_in_last_block(self, luk12_godel12, profile, axiom, table, cell,
                                    value, witness):
@@ -656,7 +661,7 @@ class TestBlockedEvaluator:
         check = next(c for c in d.check_axioms(bad, profile).checks if c.axiom == axiom)
         law = dict(algebra.PROFILES[profile])[axiom]
         decide = algebra._DECISIONS.get(law)
-        assert decide is None or decide(bad) is False
+        assert decide is None or decide(algebra._Facts(bad)) is False
         assert check.counterexample == witness
         assert _tensor_first_failure(bad, law) == witness
         assert not law_holds_at(bad, profile, axiom, witness)
@@ -669,10 +674,17 @@ class TestBlockedEvaluator:
                 assert check.counterexample == _tensor_first_failure(a, law), (profile, axiom)
 
     def test_peak_memory_is_bounded(self):
+        self._assert_peak_memory_is_bounded("drl")
+
+    def test_derived_peak_memory_is_bounded(self):
+        self._assert_peak_memory_is_bounded("derived")
+
+    @staticmethod
+    def _assert_peak_memory_is_bounded(profile):
         a = d.direct_product(d.lukasiewicz_chain(11), d.godel_chain(11))
         tracemalloc.start()
         try:
-            report = d.check_axioms(a, "drl")
+            report = d.check_axioms(a, profile)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -740,7 +752,7 @@ class TestDecisions:
                     assert check.counterexample == witness, (a.name, profile, axiom)
                     decide = algebra._DECISIONS.get(law)
                     if decide is not None:
-                        decided = decide(a)
+                        decided = decide(algebra._Facts(a))
                         # a decision never refuses a law that holds on a partial order
                         assert decided is (witness is None) or not partial_order, (profile, axiom)
                         outcomes[law].add((decided, witness is None, partial_order))
@@ -765,6 +777,123 @@ class TestDecisions:
         zeros = [[0] * 4] * 4
         a = d.FiniteDRL(4, leq, table, table, zeros, zeros, 0, 0)
         law = dict(algebra.PROFILES["drl"])[axiom]
-        assert algebra._DECISIONS[law](a) is False
+        assert algebra._DECISIONS[law](algebra._Facts(a)) is False
         check = next(c for c in d.check_axioms(a, "drl").checks if c.axiom == axiom)
         assert check.counterexample == _tensor_first_failure(a, law) == (3, 3, 3)
+
+
+def _grid(rows: int, cols: int, new_top: bool = False) -> list[list[bool]]:
+    """The order of the product of two chains, optionally under a new top."""
+    points = list(itertools.product(range(rows), range(cols)))
+    leq = [[p[0] <= q[0] and p[1] <= q[1] for q in points] for p in points]
+    if new_top:
+        leq = [row + [True] for row in leq] + [[False] * len(points) + [True]]
+    return leq
+
+
+def _non_associative_products(leq):
+    """Every commutative, non-associative product on the lattice `leq` that
+    preserves binary joins and has bottom as annihilator, as
+    (meet, join, top, bottom, otimes).
+
+    Such a product is the join extension of its values on the
+    join-irreducibles J, so the search runs over all symmetric J x J tables
+    and keeps the extensions that preserve joins and are not associative."""
+    L = np.asarray(leq, dtype=bool)
+    meet, join, top, bottom = d.derive_lattice(L)
+    n = len(L)
+    strict = L & ~np.eye(n, dtype=bool)
+    covers = strict & ~(strict.astype(int) @ strict.astype(int) > 0)
+    J = np.flatnonzero(covers.sum(axis=0) == 1)
+    pairs = [(j, k) for j in J for k in J if j <= k]
+    values = np.array(list(itertools.product(range(n), repeat=len(pairs))))
+    on_j = {}
+    for (j, k), column in zip(pairs, values.T):
+        on_j[j, k] = on_j[k, j] = column
+    full = np.full((len(values), n, n), bottom)
+    for x, y in itertools.product(range(n), repeat=2):
+        for j, k in itertools.product(J[L[J, x]], J[L[J, y]]):
+            full[:, x, y] = join[full[:, x, y], on_j[j, k]]
+    keep = np.ones(len(values), dtype=bool)
+    associative = np.ones(len(values), dtype=bool)
+    rows = np.arange(len(values))
+    for x, y, z in itertools.product(range(n), repeat=3):
+        keep &= full[:, x, join[y, z]] == join[full[:, x, y], full[:, x, z]]
+        associative &= full[rows, full[:, x, y], z] == full[rows, x, full[:, y, z]]
+    return [(meet, join, top, bottom, otimes) for otimes in full[keep & ~associative]]
+
+
+def _refused(*args):
+    raise AssertionError("the full gather ran")
+
+
+class TestJoinIrreduciblePath:
+    """`otimes-associative` on the join-irreducibles, and `residuum-exchange`
+    from associativity, divisibility and the meet."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: d.direct_product(d.lukasiewicz_chain(6), d.godel_chain(6)),
+        lambda: d.direct_product(d.heyting_from_lattice(_grid(2, 3)),
+                                 d.heyting_from_lattice(_grid(3, 3, new_top=True))),
+        lambda: d.direct_product(d.boolean(), d.heyting_from_lattice(DIAMOND)),
+    ], ids=["luk6xgodel6", "grid-x-grid", "boolean-x-diamond"])
+    def test_laws_confirmed_without_the_full_gathers(self, make, monkeypatch):
+        a = make()
+        monkeypatch.setattr(algebra, "_associative", _refused)
+        monkeypatch.setattr(algebra, "_exchange_per_z", _refused)
+        for profile in ("drl", "derived"):
+            assert d.check_axioms(a, profile).ok, profile
+
+    @pytest.mark.parametrize("leq", [
+        [[i <= j for j in range(4)] for i in range(4)], DIAMOND, _grid(2, 2, new_top=True),
+    ], ids=["chain4", "grid2x2", "diamond+top"])
+    def test_non_associative_products_refused_on_join_irreducibles(self, leq, monkeypatch):
+        # With the full gather refused, the witness can only come from the
+        # blocked evaluator after the J path returned False.
+        monkeypatch.setattr(algebra, "_associative", _refused)
+        law = algebra._law_otimes_associative
+        products = _non_associative_products(leq)
+        assert products
+        for meet, join, top, bottom, otimes in products:
+            residuum = d.residuum_from_tables(leq, otimes)
+            a = d.FiniteDRL(len(leq), leq, meet, join, otimes, residuum, top, bottom)
+            assert next(algebra._first_failures(a, [law])) == _tensor_first_failure(a, law)
+
+    # Each product is associative on J (the elements with one lower cover)
+    # but not everywhere, and only the named premise fails: 1 and 2 are
+    # mutually below each other, so J is empty; or 0 * 2 = 1 but 2 * 0 = 0.
+    @pytest.mark.parametrize("premise,leq,otimes", [
+        ("partial", [[1, 1, 1], [0, 1, 1], [0, 1, 1]], [[0, 0, 0], [0, 2, 1], [0, 1, 1]]),
+        ("commutative", [[1, 1, 1], [0, 1, 1], [0, 0, 1]], [[0, 0, 1], [0, 1, 1], [0, 1, 2]]),
+    ])
+    def test_associativity_on_join_irreducibles_needs_its_premise(self, premise, leq, otimes):
+        ids = np.arange(3)
+        join = np.where(np.asarray(leq, dtype=bool), ids, ids[:, None])  # x <= y gives y
+        # No premise reads the meet table.
+        a = d.FiniteDRL(3, leq, join, join, otimes, d.residuum_from_tables(leq, otimes), 2, 0)
+        facts = algebra._Facts(a)
+        premises = {"partial": facts.partial, "commutative": facts.commutative,
+                    "join-is-lub": facts.join_is_lub, "residuation": facts.residuation}
+        assert [name for name, holds in premises.items() if not holds] == [premise]
+        assert algebra._associative_on(a.otimes, np.flatnonzero(facts.covers.sum(axis=0) == 1))
+        law = algebra._law_otimes_associative
+        assert algebra._DECISIONS[law](facts) is False
+        check = next(c for c in d.check_axioms(a, "drl").checks if c.axiom == "otimes-associative")
+        assert check.counterexample == _tensor_first_failure(a, law) is not None
+
+    def test_declared_bottom_not_least_takes_the_full_gather(self, monkeypatch):
+        # Every other premise holds: a partial order with binary lubs, a
+        # commutative product and its residuum. The declared bottom is 1.
+        leq = [[i <= j for j in range(4)] for i in range(4)]
+        meet, join, _, _, otimes = _non_associative_products(leq)[0]
+        a = d.FiniteDRL(4, leq, meet, join, otimes, d.residuum_from_tables(leq, otimes), 3, 1)
+        facts = algebra._Facts(a)
+        assert facts.partial and facts.join_is_lub and facts.commutative and facts.residuation
+        gathered = []
+        full_gather = algebra._associative
+        monkeypatch.setattr(algebra, "_associative", lambda T: gathered.append(T) or full_gather(T))
+        law = algebra._law_otimes_associative
+        assert algebra._DECISIONS[law](facts) is False
+        assert len(gathered) == 1
+        check = next(c for c in d.check_axioms(a, "drl").checks if c.axiom == "otimes-associative")
+        assert check.counterexample == _tensor_first_failure(a, law) is not None
