@@ -14,7 +14,11 @@ validated by the law checker's own `residuation` decision, which falls
 back to the blocked evaluator only to find a failing triple.
 
 The law check decides most laws on whole tables, from facts that one
-check computes at most once each, on first use. One count product
+check computes at most once each, on first use. The boolean facts
+(transitivity, the partial-order test, the glb and lub decisions,
+commutativity, residuation and associativity of the product) are kept
+with the algebra, whose tables are read-only, and later checks of it
+read them; the n x n arrays behind them are rebuilt. One count product
 `between = L @ L` gives transitivity, the partial-order test and the
 covering pairs; reflexivity, antisymmetry and the bounds read the
 diagonal, that test, one row or one column. Meets and joins are
@@ -43,7 +47,7 @@ temporary array exceeds max(2**18, size**2) entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator
 
@@ -69,7 +73,11 @@ _TABLES = ("leq", "meet", "join", "otimes", "residuum")
 def _in_carrier(table: np.ndarray, n: int) -> bool:
     """Whether every entry is an integer id below n; fractions and ints too
     large for a machine integer are not."""
-    return table.dtype.kind in "biu" and table.min() >= 0 and table.max() < n
+    # Read as unsigned, a negative id (or a uint64 past 2**63 - 1, which the
+    # cast wraps to one) is at least 2**63, so one pass tests both ends.
+    return table.dtype.kind in "biu" and (
+        table.astype(np.intp, copy=False).view(np.uintp).max() < n
+    )
 
 
 def _element_id(v, n: int) -> int:
@@ -88,9 +96,11 @@ class FiniteDRL:
     `bottom`, and `residuum` the adjoint of `otimes`. Any nested
     sequences are accepted; they are stored as read-only n x n arrays,
     and ValueError is raised unless each is n x n with integer entries
-    in the carrier and `top`/`bottom` are element ids. The laws are not
-    checked here (see `check_axioms`). The label `name` does not take
-    part in equality.
+    in the carrier and `top`/`bottom` are element ids. A fresh read-only
+    array of the stored dtype, such as `load_algebra` builds, is kept
+    without a copy, as is the array built here from a sequence; a
+    writable array is copied. The laws are not checked here (see
+    `check_axioms`). The label `name` does not take part in equality.
     """
 
     size: int
@@ -102,6 +112,8 @@ class FiniteDRL:
     top: int
     bottom: int
     name: str = ""
+    # The boolean law-check facts decided on these tables, by name; see `_Facts`.
+    _facts: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         n = self.size
@@ -186,13 +198,14 @@ def _first_failures(a, laws: Iterable[Callable]) -> Iterator[tuple[int, int, int
     Witnesses are lexicographically least. `a` is an algebra, or any
     object with the `size` and the tables and elements that the laws
     read. A law with an entry in `_DECISIONS` is first decided on whole
-    tables, from one `_Facts` that all the laws share; when that returns
-    True the law holds and no point is visited. Every other law, and every law its decision does not
-    confirm, goes to the blocked evaluator, which finds the exact
-    verdict and the witness. A law must be written with
-    numpy-compatible operations so the same code evaluates pointwise on
-    ints and broadcast on index grids. The grids are built once for all
-    the laws.
+    tables, from one `_Facts` that all the laws share, seeded with the
+    boolean facts an earlier check kept with a `FiniteDRL` `a`; when
+    the decision returns True the law holds and no point is visited.
+    Every other law, and every law its decision does not confirm, goes
+    to the blocked evaluator, which finds the exact verdict and the
+    witness. A law must be written with numpy-compatible operations so
+    the same code evaluates pointwise on ints and broadcast on index
+    grids. The grids are built once for all the laws.
     """
     n = a.size
     ids = np.arange(n)
@@ -381,27 +394,48 @@ class _fact:
 
     The value is stored in the instance's dict, where later reads find
     it before this (non-data) descriptor, so they cost a plain lookup.
+    It is also kept with the algebra (in `_Facts.kept`), unless it is
+    an `_array_fact`.
     """
+
+    kept = True
 
     def __init__(self, compute: Callable):
         self.compute, self.name = compute, compute.__name__
 
     def __get__(self, facts: "_Facts", owner=None):
         value = facts.__dict__[self.name] = self.compute(facts)
+        if self.kept:
+            facts.kept[self.name] = value
         return value
+
+
+class _array_fact(_fact):
+    """A `_fact` that an n x n array holds; it lives for one check only."""
+
+    kept = False
 
 
 class _Facts:
     """The whole-table facts that the decisions of one law check share.
 
-    Each is computed at most once per check, and only when some decision
-    reads it.
+    Each is computed at most once, and only when some decision reads it.
+    A `FiniteDRL`'s tables are read-only, so its boolean facts
+    (`transitive`, `partial`, `meet_is_glb`, `join_is_lub`,
+    `commutative`, `residuation`, `otimes_associative`) are kept with it
+    and seed every later check of it: validating an algebra on load and
+    then checking the `derived` profile runs the residuation gather once.
+    The n x n arrays `between` and `covers` (64 MB for `between` at
+    carrier 4096) live for one check. Other table holders, such as the
+    namespaces of `residuum_from_tables`, keep nothing.
     """
 
     def __init__(self, a):
         self.a = a
+        self.kept = a._facts if isinstance(a, FiniteDRL) else {}
+        self.__dict__.update(self.kept)
 
-    @_fact
+    @_array_fact
     def between(self) -> np.ndarray:
         return _count_product(self.a.leq, self.a.leq)
 
@@ -413,7 +447,7 @@ class _Facts:
     def partial(self) -> bool:
         return _order_defect(self.a.leq, self.between) is None
 
-    @_fact
+    @_array_fact
     def covers(self) -> np.ndarray:
         # [x, y]: y covers x. On a partial order x < y has x and y between
         # them, and nothing else exactly when y covers x.

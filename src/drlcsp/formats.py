@@ -21,6 +21,7 @@ import orjson
 
 from .algebra import (
     FiniteDRL,
+    _in_carrier,
     _require_within_cap,
     check_axioms,
     derive_lattice,
@@ -132,24 +133,53 @@ def save_algebra(algebra: FiniteDRL) -> str:
     return _canonical(_algebra_payload(algebra))
 
 
-def _int_table(table, key: str, size: int) -> list[list[int]]:
-    if (
-        not isinstance(table, list)
-        or len(table) != size
-        or any(not isinstance(row, list) or len(row) != size for row in table)
+def _is_int_table(table, size: int) -> bool:
+    return (
+        isinstance(table, list)
+        and len(table) == size
+        and all(isinstance(row, list) and len(row) == size for row in table)
         # The exact type test also rejects JSON booleans.
-        or set(map(type, itertools.chain.from_iterable(table))) != {int}
+        and set(map(type, itertools.chain.from_iterable(table))) == {int}
+    )
+
+
+def _table(table, key: str, size: int, typed: bool) -> np.ndarray:
+    """A decoded table as a read-only size x size array of ids below
+    `size` (`intp`), or of 0 and 1 for "leq" (bool).
+
+    One np.array call builds it, and its shape, integer dtype and range
+    are tested on the array. np.array reads a JSON boolean among ints as
+    an int, so when `typed` the entries' exact types are tested as well.
+    Pass typed=False only for a table decoded from text that holds
+    neither `true` nor `false`, the only words JSON writes a boolean as.
+    A refused table raises ParseError, worded by the entry-by-entry type
+    test.
+    """
+    try:
+        arr = np.array(table)
+    except ValueError:  # ragged rows, or nesting past numpy's dimension limit
+        arr = None
+    if (
+        arr is not None
+        and arr.shape == (size, size)
+        and arr.dtype.kind == "i"
+        and (not typed or _is_int_table(table, size))
+        and _in_carrier(arr, 2 if key == "leq" else size)
     ):
+        arr = arr.astype(bool if key == "leq" else np.intp, copy=False)
+        arr.flags.writeable = False
+        return arr
+    if not _is_int_table(table, size):
         raise ParseError(f"{key!r} must be a {size}x{size} integer table")
-    return table
-
-
-def parse_leq(table, size: int) -> np.ndarray:
-    """Check a parsed `leq` table (size x size, entries 0 or 1); return it as bools."""
-    rows = _int_table(table, "leq", size)
-    if not {0, 1}.issuperset(itertools.chain.from_iterable(rows)):
+    # A size x size table of ints that np.array did not read as an array of
+    # type "i" in range holds an entry out of range.
+    if key == "leq":
         raise ParseError("'leq' entries must be 0 or 1")
-    return np.array(rows, dtype=bool)
+    raise ParseError(f"{key!r} has entries outside the carrier")
+
+
+def _may_hold_booleans(text: str) -> bool:
+    return "true" in text or "false" in text
 
 
 def load_algebra(source: str | dict, *, validate: bool = True) -> FiniteDRL:
@@ -167,11 +197,12 @@ def load_algebra(source: str | dict, *, validate: bool = True) -> FiniteDRL:
     refusing to load.
     """
     if isinstance(source, dict):
-        return _algebra_from_obj(source, validate)
-    return _decoded(source, lambda obj: _algebra_from_obj(obj, validate))
+        return _algebra_from_obj(source, validate, typed=True)
+    typed = _may_hold_booleans(source)
+    return _decoded(source, lambda obj: _algebra_from_obj(obj, validate, typed))
 
 
-def _algebra_from_obj(obj, validate: bool) -> FiniteDRL:
+def _algebra_from_obj(obj, validate: bool, typed: bool) -> FiniteDRL:
     if not isinstance(obj, dict):
         raise ParseError("algebra payload must be an object")
     size = obj.get("size")
@@ -187,14 +218,10 @@ def _algebra_from_obj(obj, validate: bool) -> FiniteDRL:
     if not isinstance(name, str):
         raise ParseError("'name' must be a string")
 
-    leq = parse_leq(obj.get("leq"), size)
-    otimes = _int_table(obj.get("otimes"), "otimes", size)
-    _check_entries(otimes, size, "otimes")
-    tables = {}
-    for key in ("meet", "join", "residuum"):
-        if key in obj:
-            tables[key] = _int_table(obj[key], key, size)
-            _check_entries(tables[key], size, key)
+    leq = _table(obj.get("leq"), "leq", size, typed)
+    otimes = _table(obj.get("otimes"), "otimes", size, typed)
+    tables = {key: _table(obj[key], key, size, typed)
+              for key in ("meet", "join", "residuum") if key in obj}
 
     if "meet" not in tables or "join" not in tables:
         meet, join, _, _ = derive_lattice(leq)
@@ -214,22 +241,19 @@ def _algebra_from_obj(obj, validate: bool) -> FiniteDRL:
     return algebra
 
 
-def _check_entries(table, size: int, key: str) -> None:
-    if not frozenset(range(size)).issuperset(itertools.chain.from_iterable(table)):
-        raise ParseError(f"{key!r} has entries outside the carrier")
-
-
 def read_lattice(path: str | Path) -> np.ndarray:
     """Read an order table, bare or under "leq", from a JSON file; return it as bools."""
+    text = Path(path).read_text()
+    typed = _may_hold_booleans(text)
 
     def build(obj) -> np.ndarray:
         if isinstance(obj, dict):
             obj = obj.get("leq")
         if not isinstance(obj, list):
             raise ParseError(f"{path} must hold an order table (or an object with 'leq')")
-        return parse_leq(obj, len(obj))
+        return _table(obj, "leq", len(obj), typed)
 
-    return _decoded(Path(path).read_text(), build, f" in {path}")
+    return _decoded(text, build, f" in {path}")
 
 
 def read_algebra(path: str | Path) -> FiniteDRL:

@@ -897,3 +897,61 @@ class TestJoinIrreduciblePath:
         assert len(gathered) == 1
         check = next(c for c in d.check_axioms(a, "drl").checks if c.axiom == "otimes-associative")
         assert check.counterexample == _tensor_first_failure(a, law) is not None
+
+
+class TestFactsKept:
+    """The boolean law-check facts are kept with the algebra that was checked."""
+
+    _KEPT = {"transitive", "partial", "meet_is_glb", "join_is_lub", "commutative",
+             "residuation", "otimes_associative"}
+
+    @pytest.fixture()
+    def gathers(self, monkeypatch):
+        """The number of times the `residuation` fact has been computed."""
+        counted = []
+        fact = vars(algebra._Facts)["residuation"]
+        compute = fact.compute
+        monkeypatch.setattr(fact, "compute", lambda facts: counted.append(1) or compute(facts))
+        return counted
+
+    def test_derived_check_after_a_validated_load_runs_no_gather(self, gathers):
+        text = d.save_algebra(d.direct_product(d.lukasiewicz_chain(5), d.godel_chain(4)))
+        gathers.clear()  # the chain constructors validate their residua
+        loaded = d.load_algebra(text)
+        assert len(gathers) == 1
+        assert d.check_axioms(loaded, "derived").ok
+        assert d.check_axioms(loaded, "drl").ok
+        assert len(gathers) == 1
+        assert set(loaded._facts) == self._KEPT
+        assert all(type(value) is bool for value in loaded._facts.values())
+
+    def test_an_equal_algebra_shares_no_facts(self, gathers):
+        a = d.direct_product(d.lukasiewicz_chain(4), d.weighted(3))
+        gathers.clear()
+        assert d.check_axioms(a, "drl").ok and len(gathers) == 1
+        for twin in (dataclasses.replace(a), d.load_algebra(d.save_algebra(a), validate=False)):
+            assert twin == a and twin._facts == {}
+            assert d.check_axioms(twin, "derived").ok
+            assert twin._facts is not a._facts
+        assert len(gathers) == 3
+
+    def test_kept_facts_never_change_a_report(self):
+        # Algebras that break laws, loaded without validation: every report,
+        # in either profile order, is that of a fresh copy checked once.
+        rng = random.Random(2008)
+        bases = [d.direct_product(d.lukasiewicz_chain(4), d.godel_chain(3)),
+                 d.direct_product(d.boolean(), d.heyting_from_lattice(DIAMOND))]
+        false_facts = set()
+        for _ in range(40):
+            text = d.save_algebra(_mutated(rng.choice(bases), rng))
+            fresh = {profile: d.check_axioms(d.load_algebra(text, validate=False), profile)
+                     for profile in ("drl", "derived")}
+            for order in (("drl", "derived"), ("derived", "drl")):
+                loaded = d.load_algebra(text, validate=False)
+                for profile in order:
+                    assert d.check_axioms(loaded, profile) == fresh[profile], (text, order)
+                assert all(type(value) is bool for value in loaded._facts.values())
+                false_facts |= {name for name, value in loaded._facts.items() if not value}
+        assert not fresh["drl"].ok or not fresh["derived"].ok
+        # the kept facts that were False cover most kinds
+        assert {"partial", "commutative", "residuation", "otimes_associative"} <= false_facts

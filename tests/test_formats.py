@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import random
 import threading
@@ -111,6 +112,132 @@ class TestAlgebraRoundTrip:
     def test_invalid_json(self):
         with pytest.raises(d.ParseError):
             d.load_algebra("{nope")
+
+
+# The table checks of the entry-by-entry parse, kept as the reference for
+# the one-array parse: each table's refusal, or its accepted value.
+
+
+def _reference_int_table(table, key: str, size: int) -> list[list[int]]:
+    if (
+        not isinstance(table, list)
+        or len(table) != size
+        or any(not isinstance(row, list) or len(row) != size for row in table)
+        # The exact type test also rejects JSON booleans.
+        or set(map(type, itertools.chain.from_iterable(table))) != {int}
+    ):
+        raise d.ParseError(f"{key!r} must be a {size}x{size} integer table")
+    return table
+
+
+def _reference_parse_leq(table, size: int) -> np.ndarray:
+    rows = _reference_int_table(table, "leq", size)
+    if not {0, 1}.issuperset(itertools.chain.from_iterable(rows)):
+        raise d.ParseError("'leq' entries must be 0 or 1")
+    return np.array(rows, dtype=bool)
+
+
+def _reference_check_entries(table, size: int, key: str) -> None:
+    if not frozenset(range(size)).issuperset(itertools.chain.from_iterable(table)):
+        raise d.ParseError(f"{key!r} has entries outside the carrier")
+
+
+def _reference_algebra(obj: dict) -> d.FiniteDRL:
+    """What an unvalidated load of `obj`, which has every table, gives."""
+    size = obj["size"]
+    leq = _reference_parse_leq(obj["leq"], size)
+    tables = {}
+    for key in ("otimes", "meet", "join", "residuum"):
+        tables[key] = _reference_int_table(obj[key], key, size)
+        _reference_check_entries(tables[key], size, key)
+    return d.FiniteDRL(size, leq, tables["meet"], tables["join"], tables["otimes"],
+                       tables["residuum"], obj["top"], obj["bottom"], obj["name"])
+
+
+def _table_mutation(obj: dict, rng: random.Random) -> str:
+    """Change one entry, row or table of one of `obj`'s tables; name the change."""
+    key = rng.choice(["leq", "meet", "join", "otimes", "residuum"])
+    table, n = obj[key], obj["size"]
+    x, y = rng.randrange(n), rng.randrange(n)
+    kind = rng.choice(["true", "false", "1.0", "-1", "size", "2**63", "2**64", "None",
+                       "string", "nested", "ragged", "short", "in range"])
+    if kind == "ragged":
+        table[x].append(0) if rng.random() < 0.5 else table[x].pop()
+    elif kind == "short":
+        table.pop(x)
+    else:
+        table[x][y] = {
+            "true": True, "false": False, "1.0": 1.0, "-1": -1, "size": n, "2**63": 2**63,
+            "2**64": 2**64, "None": None, "string": "1", "nested": [table[x][y]],
+            "in range": rng.randrange(2 if key == "leq" else n),
+        }[kind]
+    return f"{kind} in {key}"
+
+
+def _parse_outcome(parse):
+    try:
+        return parse()
+    except (d.FormatError, d.AlgebraError) as exc:  # a refusal is compared by class and message
+        return type(exc), str(exc)
+
+
+class TestOneArrayParse:
+    """Each table is parsed by one np.array call, with the outcome of the
+    entry-by-entry checks: the same refusal, or an equal algebra."""
+
+    def test_mutated_tables_match_the_entry_checks(self, tmp_path):
+        rng = random.Random(1997)
+        bases = [json.loads(d.save_algebra(a)) for a in (
+            d.boolean(), d.direct_product(d.lukasiewicz_chain(3), d.godel_chain(3)),
+            d.direct_product(d.boolean(), d.heyting_from_lattice(
+                [[1, 1, 1, 1], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1]])),
+        )]
+        path = tmp_path / "a.json"
+        kinds = set()
+        for _ in range(400):
+            obj = json.loads(json.dumps(rng.choice(bases)))
+            change = _table_mutation(obj, rng)
+            kinds.add(change.split(" in ")[0])
+            text = json.dumps(obj)
+            path.write_text(text)
+            expected = _parse_outcome(lambda: _reference_algebra(obj))
+            assert _parse_outcome(lambda: d.load_algebra(text, validate=False)) == expected, change
+            assert _parse_outcome(lambda: d.load_algebra(obj, validate=False)) == expected, change
+
+            # A problem's inline algebra is validated as well.
+            payload = json.dumps({"algebra": obj, "domains": [1], "constraints": []})
+            if isinstance(expected, d.FiniteDRL):
+                report = d.check_axioms(expected, "drl")
+                if not report.ok:
+                    expected = d.AxiomViolation, str(d.AxiomViolation(report))
+            assert _parse_outcome(lambda: d.load_problem_raw(payload).algebra) == expected, change
+
+            leq = obj["leq"]
+            expected_leq = _parse_outcome(lambda: _reference_parse_leq(leq, len(leq)))
+            got_leq = _parse_outcome(lambda: formats.read_lattice(path))
+            if isinstance(expected_leq, np.ndarray):
+                assert got_leq.dtype == bool and np.array_equal(got_leq, expected_leq), change
+            else:
+                assert got_leq == expected_leq, change
+        assert len(kinds) == 13
+
+    def test_a_name_holding_true_loads_and_refuses_booleans(self):
+        a = dataclasses.replace(d.boolean(), name="true-false")
+        text = d.save_algebra(a)
+        assert d.load_algebra(text) == a and d.load_algebra(text).name == "true-false"
+        obj = json.loads(text)
+        obj["otimes"][1][1] = True
+        with pytest.raises(d.ParseError) as info:
+            d.load_algebra(json.dumps(obj))
+        assert str(info.value) == "'otimes' must be a 2x2 integer table"
+
+    def test_text_without_booleans_skips_the_type_test(self, monkeypatch):
+        calls = []
+        typed = formats._is_int_table
+        monkeypatch.setattr(formats, "_is_int_table", lambda *args: calls.append(1) or typed(*args))
+        a = d.godel_chain(4)
+        assert d.load_algebra(d.save_algebra(a)) == a and calls == []
+        assert d.load_algebra(json.loads(d.save_algebra(a))) == a and len(calls) == 5
 
 
 def _reference_load(text: str) -> d.FiniteDRL | None:
