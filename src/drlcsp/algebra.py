@@ -10,8 +10,10 @@ algebras over finite distributive lattices, and direct products. The
 residuum table is never taken on trust: it is derived from the order
 and the product as x -> y = the greatest z with x * z <= y, taken as the
 admitted z of highest linear-extension rank (one row gather per x), and
-validated by the law checker's own `residuation` decision, which falls
-back to the blocked evaluator only to find a failing triple.
+validated by the row gathers of the law checker's `residuation` fact;
+the blocked evaluator runs only to find a failing triple. Heyting
+distributivity is decided by that validation too: a finite lattice is
+distributive exactly when its meet has a residuum.
 
 The law check decides most laws on whole tables, from facts that one
 check computes at most once each, on first use. The boolean facts
@@ -48,8 +50,9 @@ temporary array exceeds max(2**18, size**2) entries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import SimpleNamespace
-from typing import Callable, Iterable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -192,41 +195,24 @@ class AxiomReport:
 # The exhaustive law checker
 
 
-def _first_failures(a, laws: Iterable[Callable]) -> Iterator[tuple[int, int, int] | None]:
-    """For each law in turn, the least (x, y, z) falsifying it, or None.
-
-    Witnesses are lexicographically least. `a` is an algebra, or any
-    object with the `size` and the tables and elements that the laws
-    read. A law with an entry in `_DECISIONS` is first decided on whole
-    tables, from one `_Facts` that all the laws share, seeded with the
-    boolean facts an earlier check kept with a `FiniteDRL` `a`; when
-    the decision returns True the law holds and no point is visited.
-    Every other law, and every law its decision does not confirm, goes
-    to the blocked evaluator, which finds the exact verdict and the
-    witness. A law must be written with numpy-compatible operations so
-    the same code evaluates pointwise on ints and broadcast on index
-    grids. The grids are built once for all the laws.
+def _first_failure(a, law: Callable) -> tuple[int, int, int] | None:
+    """The lexicographically least (x, y, z) falsifying `law`, or None, by the
+    blocked evaluator. `a` is an algebra, or any object with the `size`, tables
+    and elements that the law reads. A law is written with numpy-compatible
+    operations, so it evaluates pointwise on ints and broadcast on index grids.
     """
     n = a.size
     ids = np.arange(n)
     ys, zs = ids[None, :, None], ids[None, None, :]
     block = _block_rows(n)
-    facts = _Facts(a)
-    for law in laws:
-        decide = _DECISIONS.get(law)
-        if decide is not None and decide(facts):
-            yield None
-            continue
-        witness = None
-        for start in range(0, n, block):
-            xs = ids[start:start + block, None, None]
-            res = np.asarray(law(a, xs, ys, zs))
-            if not res.all():
-                full = np.broadcast_to(res, (len(xs), n, n))
-                x, y, z = np.unravel_index(np.argmin(full), full.shape)  # first False
-                witness = start + int(x), int(y), int(z)
-                break
-        yield witness
+    for start in range(0, n, block):
+        xs = ids[start:start + block, None, None]
+        res = np.asarray(law(a, xs, ys, zs))
+        if not res.all():
+            full = np.broadcast_to(res, (len(xs), n, n))
+            x, y, z = np.unravel_index(np.argmin(full), full.shape)  # first False
+            return start + int(x), int(y), int(z)
+    return None
 
 
 def _block_rows(n: int) -> int:
@@ -389,65 +375,41 @@ def _order_defect(L: np.ndarray, between: np.ndarray | None = None) -> str | Non
     return None
 
 
-class _fact:
-    """A `_Facts` attribute computed on its first read.
-
-    The value is stored in the instance's dict, where later reads find
-    it before this (non-data) descriptor, so they cost a plain lookup.
-    It is also kept with the algebra (in `_Facts.kept`), unless it is
-    an `_array_fact`.
-    """
-
-    kept = True
-
-    def __init__(self, compute: Callable):
-        self.compute, self.name = compute, compute.__name__
-
-    def __get__(self, facts: "_Facts", owner=None):
-        value = facts.__dict__[self.name] = self.compute(facts)
-        if self.kept:
-            facts.kept[self.name] = value
-        return value
-
-
-class _array_fact(_fact):
-    """A `_fact` that an n x n array holds; it lives for one check only."""
-
-    kept = False
+# The boolean facts that a check keeps with its algebra.
+_KEPT = ("transitive", "partial", "meet_is_glb", "join_is_lub", "commutative", "residuation",
+         "otimes_associative")
 
 
 class _Facts:
     """The whole-table facts that the decisions of one law check share.
 
     Each is computed at most once, and only when some decision reads it.
-    A `FiniteDRL`'s tables are read-only, so its boolean facts
-    (`transitive`, `partial`, `meet_is_glb`, `join_is_lub`,
-    `commutative`, `residuation`, `otimes_associative`) are kept with it
-    and seed every later check of it: validating an algebra on load and
-    then checking the `derived` profile runs the residuation gather once.
-    The n x n arrays `between` and `covers` (64 MB for `between` at
-    carrier 4096) live for one check. Other table holders, such as the
-    namespaces of `residuum_from_tables`, keep nothing.
+    A `FiniteDRL`'s tables are read-only, so `check_axioms` keeps the
+    boolean facts (`_KEPT`) with it, and they seed every later check of
+    it: validating an algebra on load and then checking the `derived`
+    profile runs the residuation gather once. The n x n arrays `between`
+    and `covers` (64 MB for `between` at carrier 4096) live for one
+    check.
     """
 
-    def __init__(self, a):
+    def __init__(self, a: FiniteDRL):
         self.a = a
-        self.kept = a._facts if isinstance(a, FiniteDRL) else {}
-        self.__dict__.update(self.kept)
+        # A cached_property reads an instance attribute of its name first.
+        self.__dict__.update(a._facts)
 
-    @_array_fact
+    @cached_property
     def between(self) -> np.ndarray:
         return _count_product(self.a.leq, self.a.leq)
 
-    @_fact
+    @cached_property
     def transitive(self) -> bool:
         return _transitive(self.a.leq, self.between)
 
-    @_fact
+    @cached_property
     def partial(self) -> bool:
         return _order_defect(self.a.leq, self.between) is None
 
-    @_array_fact
+    @cached_property
     def covers(self) -> np.ndarray:
         # [x, y]: y covers x. On a partial order x < y has x and y between
         # them, and nothing else exactly when y covers x.
@@ -458,35 +420,27 @@ class _Facts:
     # below m exactly when there are as many of them as elements below m.
     # Joins dually.
 
-    @_fact
+    @cached_property
     def meet_is_glb(self) -> bool:
         L, M, ids = self.a.leq, self.a.meet, np.arange(self.a.size)
         return bool(L[M, ids[:, None]].all() and L[M, ids].all() and self.transitive
                     and (_common_bounds(L, lower=True) == L.sum(axis=0)[M]).all())
 
-    @_fact
+    @cached_property
     def join_is_lub(self) -> bool:
         L, J, ids = self.a.leq, self.a.join, np.arange(self.a.size)
         return bool(L[ids[:, None], J].all() and L[ids, J].all() and self.transitive
                     and (_common_bounds(L, lower=False) == L.sum(axis=1)[J]).all())
 
-    @_fact
+    @cached_property
     def commutative(self) -> bool:
         return bool((self.a.otimes == self.a.otimes.T).all())
 
-    @_fact
+    @cached_property
     def residuation(self) -> bool:
-        a = self.a
-        LT = np.ascontiguousarray(a.leq.T)  # LT[y, z]: z <= y
-        block = _block_rows(a.size)
-        for start in range(0, a.size, block):
-            product_below = np.take(LT, a.otimes[start:start + block], axis=1)  # [y, x, z]: x * z <= y
-            below_residuum = LT[a.residuum[start:start + block]]  # [x, y, z]: z <= x -> y
-            if not np.array_equal(product_below.transpose(1, 0, 2), below_residuum):
-                return False
-        return True
+        return _residuated(self.a.leq, self.a.otimes, self.a.residuum)
 
-    @_fact
+    @cached_property
     def otimes_associative(self) -> bool:
         # On a partial order with least element `bottom` whose binary lubs
         # `join` gives, residuation makes x * _ a left adjoint, so it
@@ -500,6 +454,19 @@ class _Facts:
                 and self.residuation):
             return _associative_on(a.otimes, np.flatnonzero(self.covers.sum(axis=0) == 1))
         return _associative(a.otimes)
+
+
+def _residuated(L: np.ndarray, O: np.ndarray, R: np.ndarray) -> bool:
+    """Whether x * z <= y exactly when z <= x -> y, for all x, y, z: both
+    sides gathered as [x, y, z] grids, a block of x values at a time."""
+    LT = np.ascontiguousarray(L.T)  # LT[y, z]: z <= y
+    block = _block_rows(len(L))
+    for start in range(0, len(L), block):
+        product_below = np.take(LT, O[start:start + block], axis=1)  # [y, x, z]: x * z <= y
+        below_residuum = LT[R[start:start + block]]  # [x, y, z]: z <= x -> y
+        if not np.array_equal(product_below.transpose(1, 0, 2), below_residuum):
+            return False
+    return True
 
 
 def _narrow(T: np.ndarray) -> np.ndarray:
@@ -540,11 +507,10 @@ def _decide_otimes_distributes_join(f: _Facts) -> bool:
     # When residuation holds on a partial order whose joins `join` gives,
     # x * _ has the upper adjoint x -> _ and so preserves joins. Otherwise
     # compare x * (y v z) with (x*y) v (x*z) one x at a time.
-    a = f.a
-    if isinstance(a, FiniteDRL) and f.partial and f.join_is_lub and f.residuation:
+    if f.partial and f.join_is_lub and f.residuation:
         return True
-    J = a.join
-    return all(np.array_equal(row[J], J[row][:, row]) for row in a.otimes)
+    J = f.a.join
+    return all(np.array_equal(row[J], J[row][:, row]) for row in f.a.otimes)
 
 
 def _decide_residuum_exchange(f: _Facts) -> bool:
@@ -640,15 +606,21 @@ def check_axioms(algebra: FiniteDRL, profile: str = "drl") -> AxiomReport:
     """Exhaustively evaluate one law profile over the whole carrier.
 
     Failures are report entries, never exceptions; each failing entry
-    carries the lexicographically least (x, y, z) falsifying the law.
+    carries the lexicographically least (x, y, z) falsifying the law. A
+    law that its decision in `_DECISIONS`, read off one `_Facts`, does
+    not confirm goes to the blocked evaluator, `_first_failure`. The
+    boolean facts are kept with the algebra.
     """
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}")
-    laws = PROFILES[profile]
-    witnesses = _first_failures(algebra, [law for _, law in laws])
-    return AxiomReport(profile, tuple(
-        AxiomCheck(axiom, witness is None, witness) for (axiom, _), witness in zip(laws, witnesses)
-    ))
+    facts = _Facts(algebra)
+    checks = []
+    for axiom, law in PROFILES[profile]:
+        decide = _DECISIONS.get(law)
+        witness = None if decide is not None and decide(facts) else _first_failure(algebra, law)
+        checks.append(AxiomCheck(axiom, witness is None, witness))
+    algebra._facts.update((name, value) for name, value in vars(facts).items() if name in _KEPT)
+    return AxiomReport(profile, tuple(checks))
 
 
 # ---------------------------------------------------------------------------
@@ -741,10 +713,9 @@ def residuum_from_tables(leq, otimes) -> np.ndarray:
     R = np.empty_like(O)
     for x in range(len(L)):
         R[x] = by_rank[L[O[x, by_rank]].argmax(axis=0)]  # first admitted z by rank
-    tables = SimpleNamespace(size=len(L), leq=L, otimes=O, residuum=R)
-    witness = next(_first_failures(tables, [_law_residuation]))
-    if witness is not None:
-        raise ResiduationFails(witness)
+    if not _residuated(L, O, R):
+        tables = SimpleNamespace(size=len(L), leq=L, otimes=O, residuum=R)
+        raise ResiduationFails(_first_failure(tables, _law_residuation))
     return R
 
 
@@ -847,18 +818,21 @@ def weighted(n: int) -> FiniteDRL:
 def heyting_from_lattice(leq, name: str = "") -> FiniteDRL:
     """Heyting algebra over a finite distributive lattice order.
 
-    The product is the meet; NotDistributive is raised when the order is
-    a lattice but fails distributivity (a residuum cannot exist then).
+    The product is the meet. A finite lattice is distributive exactly
+    when its meet is residuated (GJKO07), so deriving the residuum of
+    the meet decides distributivity. When that raises ResiduationFails,
+    NotDistributive is raised instead, with the least triple at which
+    the meet does not distribute over the join.
     """
     _require_within_cap(len(leq))
     L = _as_bool_matrix(leq)
     meet, join, top, bottom = derive_lattice(L)
     n = len(L)
-    semiring = SimpleNamespace(size=n, join=join, otimes=meet)
-    witness = next(_first_failures(semiring, [_law_otimes_distributes_join]))
-    if witness is not None:
-        raise NotDistributive(witness)
-    residuum = residuum_from_tables(L, meet)
+    try:
+        residuum = residuum_from_tables(L, meet)
+    except ResiduationFails:
+        semiring = SimpleNamespace(size=n, join=join, otimes=meet)
+        raise NotDistributive(_first_failure(semiring, _law_otimes_distributes_join)) from None
     return FiniteDRL(n, L, meet, join, meet, residuum, top, bottom, name or f"heyting({n})")
 
 

@@ -1,10 +1,15 @@
-"""Enumerate all finite distributive lattices up to a size bound.
+"""Enumerate all finite lattices, and all finite distributive lattices,
+up to a size bound.
 
 Every finite distributive lattice is the lattice of down-sets of the
 poset of its join-irreducible elements, so enumerating posets on at
 most size-1 points and deduplicating the resulting down-set lattices
 up to isomorphism yields the complete catalog. The expected counts by
 size are 1, 1, 1, 2, 3, 5 for sizes 1..6.
+
+Every finite lattice of size n >= 2 is a poset on n-2 points with a new
+bottom and top that has binary joins; the expected counts by size are
+1, 1, 1, 2, 5, 15 for sizes 1..6.
 """
 
 from __future__ import annotations
@@ -72,3 +77,35 @@ def distributive_lattices(max_size: int = 6) -> tuple[tuple[str, BoolRows], ...]
                 seen[key] = f"dlat(n={len(downsets)},#{len(seen)})"
     ordered = sorted(seen.items(), key=lambda item: (len(item[0]), item[0]))
     return tuple((name, leq) for leq, name in ordered)
+
+
+def _has_binary_joins(leq: BoolRows) -> bool:
+    n = len(leq)
+    for x, y in itertools.combinations(range(n), 2):
+        upper = [z for z in range(n) if leq[x][z] and leq[y][z]]
+        if not any(all(leq[u][v] for v in upper) for u in upper):
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def lattices(max_size: int = 6) -> tuple[tuple[str, BoolRows], ...]:
+    """Return (name, leq) for every lattice with <= max_size elements.
+
+    Element 0 is the bottom, element n-1 the top, and the ids follow a
+    linear extension of the order. A finite bounded poset with binary
+    joins is a lattice.
+    """
+    seen: set[BoolRows] = set()
+    out = []
+    for n in range(1, max_size + 1):
+        for rel in _posets_on(max(n - 2, 0)):
+            leq = tuple(
+                tuple(x == y or x == 0 or y == n - 1 or (x - 1, y - 1) in rel for y in range(n))
+                for x in range(n)
+            )
+            key = _canonical(leq)
+            if key not in seen and _has_binary_joins(leq):
+                seen.add(key)
+                out.append((f"lat(n={n},#{len(out)})", leq))
+    return tuple(out)

@@ -1,7 +1,9 @@
 import dataclasses
 import itertools
 import random
+import re
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ import pytest
 import drlcsp as d
 from conftest import law_holds_at, semiring_payload
 from drlcsp import algebra
-from lattice_catalog import distributive_lattices
+from drl_catalog import drls, lattice_ops
+from lattice_catalog import _canonical, distributive_lattices, lattices
 
 BUILTIN_SAMPLE = [
     lambda: d.boolean(),
@@ -548,6 +551,13 @@ class TestDirectProduct:
         assert (info.value.size, info.value.cap) == (121, 120)
 
 
+def _forbid_laws(monkeypatch):
+    """No law may run: neither a decision, nor the blocked evaluator, nor the
+    residuation gather of `residuum_from_tables`."""
+    for name in ("_Facts", "_first_failure", "_residuated"):
+        monkeypatch.setattr(algebra, name, None)
+
+
 class TestExpandCIS:
     """A commutative idempotent semiring expands to a Heyting algebra
     through `load_algebra`, given its order (read off its join) and its
@@ -590,7 +600,7 @@ class TestExpandCIS:
         assert (h.top, h.bottom) == (0, 1)
         payload = semiring_payload(h.join, h.otimes, h.top, h.bottom, "two")
         payload.update(top=top, bottom=bottom)
-        monkeypatch.setattr(algebra, "_first_failures", None)  # no law may run
+        _forbid_laws(monkeypatch)
         with pytest.raises(d.ParseError, match="must be an element id below 2"):
             d.load_algebra(payload)
         with pytest.raises(ValueError, match="top/bottom out of range"):
@@ -606,7 +616,7 @@ class TestExpandCIS:
         # round to element 1.
         payload = {"size": 2, "top": 1, "bottom": 0, "leq": [[1, 1], [0, 1]],
                    "join": join, "otimes": otimes}
-        monkeypatch.setattr(algebra, "_first_failures", None)  # no law may run
+        _forbid_laws(monkeypatch)
         with pytest.raises(d.ParseError, match=message):
             d.load_algebra(payload)
 
@@ -857,7 +867,8 @@ class TestJoinIrreduciblePath:
         for meet, join, top, bottom, otimes in products:
             residuum = d.residuum_from_tables(leq, otimes)
             a = d.FiniteDRL(len(leq), leq, meet, join, otimes, residuum, top, bottom)
-            assert next(algebra._first_failures(a, [law])) == _tensor_first_failure(a, law)
+            check = next(c for c in d.check_axioms(a, "drl").checks if c.axiom == "otimes-associative")
+            assert check.counterexample == _tensor_first_failure(a, law)
 
     # Each product is associative on J (the elements with one lower cover)
     # but not everywhere, and only the named premise fails: 1 and 2 are
@@ -907,11 +918,10 @@ class TestFactsKept:
 
     @pytest.fixture()
     def gathers(self, monkeypatch):
-        """The number of times the `residuation` fact has been computed."""
+        """The number of residuation gathers run."""
         counted = []
-        fact = vars(algebra._Facts)["residuation"]
-        compute = fact.compute
-        monkeypatch.setattr(fact, "compute", lambda facts: counted.append(1) or compute(facts))
+        gather = algebra._residuated
+        monkeypatch.setattr(algebra, "_residuated", lambda *tables: counted.append(1) or gather(*tables))
         return counted
 
     def test_derived_check_after_a_validated_load_runs_no_gather(self, gathers):
@@ -955,3 +965,112 @@ class TestFactsKept:
         assert not fresh["drl"].ok or not fresh["derived"].ok
         # the kept facts that were False cover most kinds
         assert {"partial", "commutative", "residuation", "otimes_associative"} <= false_facts
+
+
+def _chain(a: d.FiniteDRL) -> bool:
+    return bool((a.leq | a.leq.T).all())
+
+
+class TestDRLCatalog:
+    """Every DRL of carrier 2..6 up to isomorphism (`tests/drl_catalog.py`)."""
+
+    def test_counts(self):
+        assert Counter(a.size for a in drls(6)) == {2: 1, 3: 2, 4: 5, 5: 10, 6: 23}
+        assert Counter(a.size for a in drls(6) if _chain(a)) == {n: 2 ** (n - 2) for n in range(2, 7)}
+
+    def test_varieties_of_the_non_chains(self):
+        varieties = Counter((a.size, d.classify(a).variety_name) for a in drls(6) if not _chain(a))
+        assert varieties == {(4, "Boolean"): 1, (5, "Godel"): 1, (5, "Heyting"): 1, (6, "Heyting"): 2,
+                             (6, "Godel"): 2, (6, "MV"): 1, (6, "BL"): 1, (6, "GBL"): 1}
+        # The GBL one is the Boolean square under a 3-chain.
+        (gbl,) = (a for a in drls(6) if d.classify(a).variety_name == "GBL")
+        square_under_chain = [row + [True, True] for row in _grid(2, 2)] + [
+            [False] * 4 + [True, True], [False] * 5 + [True]]
+        assert _canonical(tuple(map(tuple, gbl.leq.tolist()))) == _canonical(
+            tuple(map(tuple, square_under_chain)))
+
+    def test_every_report_matches_the_whole_grid(self):
+        for a in drls(6):
+            for profile, laws in algebra.PROFILES.items():
+                report = d.check_axioms(a, profile)
+                expected = [_tensor_first_failure(a, law) for _, law in laws]
+                assert [c.counterexample for c in report.checks] == expected, (a.name, profile)
+            assert d.check_axioms(a, "drl").ok and d.check_axioms(a, "derived").ok, a.name
+
+    def test_classify_matches_the_equations_pointwise(self):
+        for a in drls(6):
+            n, R, J, O = a.size, a.residuum.tolist(), a.join.tolist(), a.otimes.tolist()
+            pairs = list(itertools.product(range(n), repeat=2))
+            prelinear = all(J[R[x][y]][R[y][x]] == a.top for x, y in pairs)
+            idempotent = all(O[x][x] == x for x in range(n))
+            involutive = all(R[R[x][a.bottom]][a.bottom] == x for x in range(n))
+            chain = all(a.leq[x, y] or a.leq[y, x] for x, y in pairs)
+            name = ("Boolean" if involutive and idempotent else "Godel" if prelinear and idempotent
+                    else "MV" if prelinear and involutive else "Heyting" if idempotent
+                    else "BL" if prelinear else "GBL")
+            assert d.classify(a) == d.VarietyFlags(prelinear, idempotent, involutive, chain, name), a.name
+
+    def test_residuum_from_tables_rederives_each_residuum(self):
+        for a in drls(6):
+            assert np.array_equal(d.residuum_from_tables(a.leq, a.otimes), a.residuum), a.name
+
+    def test_heyting_from_lattice_is_the_idempotent_member(self):
+        for _, leq in distributive_lattices(6):
+            if len(leq) < 2:
+                continue
+            on_it = [a for a in drls(6) if np.array_equal(a.leq, leq)]
+            (idempotent,) = (a for a in on_it if (np.diagonal(a.otimes) == np.arange(a.size)).all())
+            assert d.heyting_from_lattice(leq) == idempotent
+
+
+# M3 (three atoms) and N5 (0 < 1 < 2 < 4 and 0 < 3 < 4), with bottom 0 and top 4.
+M3 = [[x == y or x == 0 or y == 4 for y in range(5)] for x in range(5)]
+N5 = [[x == y or x == 0 or y == 4 or (x, y) == (1, 2) for y in range(5)] for x in range(5)]
+
+
+def _distributivity_failure(leq):
+    """The least (x, y, z) with x meet (y join z) != (x meet y) join (x meet z),
+    or None, with meets and joins read off the order point by point."""
+    meet, join = lattice_ops(np.array(leq, dtype=bool))
+    return next(((x, y, z) for x, y, z in itertools.product(range(len(leq)), repeat=3)
+                 if meet[x, join[y, z]] != join[meet[x, y], meet[x, z]]), None)
+
+
+class TestHeytingOnEveryLattice:
+    """`heyting_from_lattice` on every lattice of size <= 6: distributivity is
+    decided by the residuation gather of the meet's derived residuum."""
+
+    def test_catalog(self):
+        catalog = lattices(6)
+        assert Counter(len(leq) for _, leq in catalog) == {1: 1, 2: 1, 3: 1, 4: 2, 5: 5, 6: 15}
+        assert all(all(leq[0]) and all(row[-1] for row in leq) for _, leq in catalog)
+
+    def test_distributive_ones_build_and_the_others_name_the_pointwise_triple(self, monkeypatch):
+        gathers, evaluated = [], []
+        gather, evaluate = algebra._residuated, algebra._first_failure
+        monkeypatch.setattr(algebra, "_residuated", lambda *tables: gathers.append(1) or gather(*tables))
+        monkeypatch.setattr(algebra, "_first_failure",
+                            lambda a, law: evaluated.append(law) or evaluate(a, law))
+        outcomes = Counter()
+        for name, leq in lattices(6):
+            gathers.clear()
+            evaluated.clear()
+            witness = _distributivity_failure(leq)
+            if witness is None:
+                h = d.heyting_from_lattice(leq)
+                # one residuation gather, and no law evaluated point by point
+                assert (len(gathers), evaluated) == (1, []), name
+                assert np.array_equal(h.otimes, h.meet) and d.check_axioms(h).ok, name
+            else:
+                with pytest.raises(d.NotDistributive) as info:
+                    d.heyting_from_lattice(leq)
+                assert info.value.triple == witness, name
+                assert algebra._law_otimes_distributes_join in evaluated, name
+            outcomes[witness is None] += 1
+        assert outcomes == {True: 13, False: 12}
+
+    @pytest.mark.parametrize("leq,triple", [(M3, (1, 2, 3)), (N5, (2, 1, 3))], ids=["M3", "N5"])
+    def test_pinned_triples(self, leq, triple):
+        assert _distributivity_failure(leq) == triple
+        with pytest.raises(d.NotDistributive, match=re.escape(f"lattice is not distributive at {triple}")):
+            d.heyting_from_lattice(leq)
