@@ -708,14 +708,19 @@ def residuum_from_tables(leq, otimes) -> np.ndarray:
     if O.shape != L.shape or not _in_carrier(O, len(L)):
         raise ValueError(f"otimes table is not {len(L)}x{len(L)} over the carrier")
     O = O.astype(np.intp, copy=False)
+    R = _greatest_admitted(L, O)
+    if not _residuated(L, O, R):
+        tables = SimpleNamespace(size=len(L), leq=L, otimes=O, residuum=R)
+        raise ResiduationFails(_first_failure(tables, _law_residuation))
+    return R
 
+
+def _greatest_admitted(L: np.ndarray, O: np.ndarray) -> np.ndarray:
+    """[x, y]: the rank-maximal z with x * z <= y, the residuum if there is one."""
     by_rank = np.argsort(-_rank(L))
     R = np.empty_like(O)
     for x in range(len(L)):
         R[x] = by_rank[L[O[x, by_rank]].argmax(axis=0)]  # first admitted z by rank
-    if not _residuated(L, O, R):
-        tables = SimpleNamespace(size=len(L), leq=L, otimes=O, residuum=R)
-        raise ResiduationFails(_first_failure(tables, _law_residuation))
     return R
 
 
@@ -819,20 +824,20 @@ def heyting_from_lattice(leq, name: str = "") -> FiniteDRL:
     """Heyting algebra over a finite distributive lattice order.
 
     The product is the meet. A finite lattice is distributive exactly
-    when its meet is residuated (GJKO07), so deriving the residuum of
-    the meet decides distributivity. When that raises ResiduationFails,
-    NotDistributive is raised instead, with the least triple at which
-    the meet does not distribute over the join.
+    when its meet is residuated (GJKO07), so the residuation gather of
+    the meet's derived residuum decides distributivity. When it fails,
+    NotDistributive is raised with the least triple at which the meet
+    does not distribute over the join, the only law evaluated point by
+    point.
     """
     _require_within_cap(len(leq))
     L = _as_bool_matrix(leq)
     meet, join, top, bottom = derive_lattice(L)
     n = len(L)
-    try:
-        residuum = residuum_from_tables(L, meet)
-    except ResiduationFails:
+    residuum = _greatest_admitted(L, meet)
+    if not _residuated(L, meet, residuum):
         semiring = SimpleNamespace(size=n, join=join, otimes=meet)
-        raise NotDistributive(_first_failure(semiring, _law_otimes_distributes_join)) from None
+        raise NotDistributive(_first_failure(semiring, _law_otimes_distributes_join))
     return FiniteDRL(n, L, meet, join, meet, residuum, top, bottom, name or f"heyting({n})")
 
 

@@ -32,6 +32,7 @@ from .algebra import (
 from .enforce import enforce_k_hyperarc, parse_strategy
 from .errors import AlgebraError, FormatError, ParseError
 from .formats import (
+    _read_problem_raw_sharing,
     gen_random_problem,
     load_algebra,
     read_algebra,
@@ -231,7 +232,9 @@ def _cmd_consistency(args):
 
 
 def _cmd_equiv(args):
-    counterexample = check_equivalent(read_problem_raw(args.a), read_problem_raw(args.b))
+    a = read_problem_raw(args.a)
+    # When b embeds or names an algebra equal to a's, a's validation serves both.
+    counterexample = check_equivalent(a, _read_problem_raw_sharing(args.b, a.algebra))
     if counterexample is None:
         return EXIT_OK, {"equal": True}, "equal"
     payload = {

@@ -182,12 +182,17 @@ def _may_hold_booleans(text: str) -> bool:
     return "true" in text or "false" in text
 
 
+class _BooleanFree(dict):
+    """An algebra object decoded from a text that holds neither `true` nor
+    `false`, so that `load_algebra` skips the exact type test on it."""
+
+
 def load_algebra(source: str | dict, *, validate: bool = True) -> FiniteDRL:
     """Parse an algebra, deriving any absent meet/join/residuum tables.
 
     `source` is the JSON text, or the object decoded from it (an inline
-    algebra of a problem file). Only absent tables are
-    derived: `derive_lattice` when meet or join is missing,
+    algebra of a problem file). Only absent tables are derived:
+    `derive_lattice` when meet or join is missing,
     `residuum_from_tables` when the residuum is. With validate=True (the
     default) the result, with the file's own tables and declared top and
     bottom, must pass the exhaustive `drl` law check, else AxiomViolation
@@ -197,12 +202,30 @@ def load_algebra(source: str | dict, *, validate: bool = True) -> FiniteDRL:
     refusing to load.
     """
     if isinstance(source, dict):
-        return _algebra_from_obj(source, validate, typed=True)
-    typed = _may_hold_booleans(source)
-    return _decoded(source, lambda obj: _algebra_from_obj(obj, validate, typed))
+        algebra = _algebra_from_obj(source, typed=not isinstance(source, _BooleanFree))
+    else:
+        typed = _may_hold_booleans(source)
+        algebra = _decoded(source, lambda obj: _algebra_from_obj(obj, typed))
+    return _validated(algebra) if validate else algebra
 
 
-def _algebra_from_obj(obj, validate: bool, typed: bool) -> FiniteDRL:
+def _validated(algebra: FiniteDRL, known: FiniteDRL | None = None) -> FiniteDRL:
+    """`algebra` once it passes the `drl` law check, else AxiomViolation.
+
+    `known` is an algebra that already passed it; when `algebra` equals
+    it, `known` is returned unchecked, since the check reads only what
+    equality compares.
+    """
+    if known is not None and algebra == known:
+        return known
+    report = check_axioms(algebra, "drl")
+    if not report.ok:
+        raise AxiomViolation(report)
+    return algebra
+
+
+def _algebra_from_obj(obj, typed: bool) -> FiniteDRL:
+    """The algebra `obj` describes, not yet law-checked; `typed` as for `_table`."""
     if not isinstance(obj, dict):
         raise ParseError("algebra payload must be an object")
     size = obj.get("size")
@@ -227,17 +250,17 @@ def _algebra_from_obj(obj, validate: bool, typed: bool) -> FiniteDRL:
         meet, join, _, _ = derive_lattice(leq)
         tables.setdefault("meet", meet)
         tables.setdefault("join", join)
-    if "residuum" not in tables:
+    derived_residuum = "residuum" not in tables
+    if derived_residuum:
         tables["residuum"] = residuum_from_tables(leq, otimes)
 
     algebra = FiniteDRL(
         size, leq, tables["meet"], tables["join"], otimes, tables["residuum"],
         obj["top"], obj["bottom"], name,
     )
-    if validate:
-        report = check_axioms(algebra, "drl")
-        if not report.ok:
-            raise AxiomViolation(report)
+    if derived_residuum:
+        # residuum_from_tables validated residuation on these very tables.
+        algebra._facts["residuation"] = True
     return algebra
 
 
@@ -287,12 +310,32 @@ def load_problem_raw(
 
     The algebra comes from the `algebra` argument when given, otherwise
     from the payload's "algebra" field (an inline object or a path to an
-    algebra file, resolved against `base_dir`).
+    algebra file, resolved against `base_dir`). An inline algebra's tables
+    get the exact type test only when `text` holds `true` or `false`.
     """
-    return _decoded(text, lambda obj: _problem_from_obj(obj, algebra, base_dir))
+    return _decoded(text, lambda obj: _problem_from_obj(obj, algebra, base_dir, text))
 
 
-def _problem_from_obj(obj, algebra: FiniteDRL | None, base_dir: str | Path | None) -> RawProblem:
+def _read_problem_raw_sharing(path: str | Path, known: FiniteDRL) -> RawProblem:
+    """`read_problem_raw`, except that an algebra the file embeds or names
+    that equals `known`, an algebra that passed the `drl` law check, is
+    taken as `known` and not checked again. Any other algebra is checked,
+    so every result and refusal is that of `read_problem_raw`.
+    """
+    p = Path(path)
+    text = p.read_text()
+    return _decoded(text, lambda obj: _problem_from_obj(obj, None, p.parent, text, known))
+
+
+def _problem_from_obj(
+    obj,
+    algebra: FiniteDRL | None,
+    base_dir: str | Path | None,
+    text: str,
+    known: FiniteDRL | None = None,
+) -> RawProblem:
+    """The problem `obj`, decoded from `text`, describes; `known` as for
+    `_read_problem_raw_sharing`."""
     if not isinstance(obj, dict):
         raise ParseError("problem payload must be an object")
 
@@ -302,9 +345,11 @@ def _problem_from_obj(obj, algebra: FiniteDRL | None, base_dir: str | Path | Non
             path = Path(ref)
             if base_dir is not None and not path.is_absolute():
                 path = Path(base_dir) / path
-            algebra = read_algebra(path)
+            algebra = _validated(load_algebra(path.read_text(), validate=False), known)
         elif isinstance(ref, dict):
-            algebra = load_algebra(ref)
+            if not _may_hold_booleans(text):
+                ref = _BooleanFree(ref)
+            algebra = _validated(load_algebra(ref, validate=False), known)
         else:
             raise ParseError("'algebra' must be an inline object or a file path")
 

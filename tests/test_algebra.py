@@ -6,6 +6,7 @@ import tracemalloc
 from collections import Counter
 
 import numpy as np
+import orjson
 import pytest
 
 import drlcsp as d
@@ -935,6 +936,42 @@ class TestFactsKept:
         assert set(loaded._facts) == self._KEPT
         assert all(type(value) is bool for value in loaded._facts.values())
 
+    def test_a_derived_residuum_is_gathered_once(self, gathers):
+        # residuum_from_tables validates its table; that gather is the
+        # residuation fact of the loaded algebra, which the drl check reads.
+        a = d.direct_product(d.lukasiewicz_chain(16), d.godel_chain(16))
+        obj = orjson.loads(d.save_algebra(a))
+        del obj["residuum"]
+        gathers.clear()
+        loaded = d.load_algebra(orjson.dumps(obj).decode())
+        assert loaded == a and len(gathers) == 1
+        assert loaded._facts["residuation"] is True
+
+    def test_a_derived_residuum_never_changes_a_report(self):
+        # Loads without a residuum, of algebras that break laws: each report
+        # is that of a copy that keeps no facts; the refusals are those of
+        # residuum_from_tables on the loaded order and product.
+        rng = random.Random(2026)
+        bases = [d.direct_product(d.lukasiewicz_chain(4), d.godel_chain(3)),
+                 d.direct_product(d.boolean(), d.heyting_from_lattice(DIAMOND))]
+        loaded_count = 0
+        for _ in range(60):
+            obj = orjson.loads(d.save_algebra(_mutated(rng.choice(bases), rng)))
+            del obj["residuum"]
+            text = orjson.dumps(obj).decode()
+            try:
+                expected = d.residuum_from_tables(obj["leq"], obj["otimes"])
+            except (d.AlgebraError, ValueError) as exc:
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    d.load_algebra(text, validate=False)
+                continue
+            loaded = d.load_algebra(text, validate=False)
+            assert np.array_equal(loaded.residuum, expected)
+            for profile in ("drl", "derived"):
+                assert d.check_axioms(loaded, profile) == d.check_axioms(dataclasses.replace(loaded), profile)
+            loaded_count += 1
+        assert 0 < loaded_count < 60
+
     def test_an_equal_algebra_shares_no_facts(self, gathers):
         a = d.direct_product(d.lukasiewicz_chain(4), d.weighted(3))
         gathers.clear()
@@ -1065,7 +1102,15 @@ class TestHeytingOnEveryLattice:
                 with pytest.raises(d.NotDistributive) as info:
                     d.heyting_from_lattice(leq)
                 assert info.value.triple == witness, name
-                assert algebra._law_otimes_distributes_join in evaluated, name
+                assert evaluated == [algebra._law_otimes_distributes_join], name
+                # residuum_from_tables, called directly, names the least
+                # triple at which the meet's derived residuum fails.
+                L = np.array(leq, dtype=bool)
+                meet, join = lattice_ops(L)
+                with pytest.raises(d.ResiduationFails) as info:
+                    d.residuum_from_tables(L, meet)
+                tables = d.FiniteDRL(len(L), L, meet, join, meet, algebra._greatest_admitted(L, meet), len(L) - 1, 0)
+                assert info.value.triple == _tensor_first_failure(tables, algebra._law_residuation), name
             outcomes[witness is None] += 1
         assert outcomes == {True: 13, False: 12}
 

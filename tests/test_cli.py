@@ -6,7 +6,7 @@ import pytest
 
 import cli_corpus
 import drlcsp as d
-from drlcsp import algebra
+from drlcsp import algebra, formats
 from drlcsp.cli import main
 
 # Computed by `cli_corpus.run` when a non-integer `maximal-seeded` seed began
@@ -291,6 +291,62 @@ class TestPipeline:
         capsys.readouterr()
         library = d.enforce_k_hyperarc(d.read_problem(weighted_problem_file), 2)
         assert d.read_problem(out) == library.problem
+
+
+def _set_symmetric_pair_to_bottom(obj):
+    otimes = obj["algebra"]["otimes"]
+    otimes[1][2] = otimes[2][1] = 0
+
+
+def _set_one_entry_true(obj):
+    obj["algebra"]["otimes"][1][2] = True
+
+
+class TestEquivValidatesOnce:
+    """`equiv` checks the laws of one algebra when both files embed or name
+    equal ones; every other file b gets the output it got when both were
+    checked."""
+
+    @pytest.fixture()
+    def files(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        alg = d.direct_product(d.lukasiewicz_chain(3), d.godel_chain(3))
+        problem = json.loads(d.save_problem(d.gen_random_problem(alg, 3, 2, 5, 2, 4)))
+        Path("a.json").write_text(json.dumps(problem))
+        Path("alg.json").write_text(d.save_algebra(alg))
+        return problem
+
+    @pytest.fixture()
+    def checks(self, monkeypatch):
+        """The algebras the loaders put through the drl law check."""
+        checked = []
+        check = formats.check_axioms
+        monkeypatch.setattr(formats, "check_axioms", lambda a, *rest: checked.append(a) or check(a, *rest))
+        return checked
+
+    @pytest.mark.parametrize("change,out,err,code,checked", [
+        (lambda obj: obj["algebra"].update(name="renamed"), '{"equal": true}\n', "", 0, 1),
+        (lambda obj: obj.update(algebra="alg.json"), '{"equal": true}\n', "", 0, 1),
+        (_set_symmetric_pair_to_bottom, "",
+         "error: axiom check failed: otimes-associative, residuation\n", 3, 2),
+        (lambda obj: obj.update(algebra=json.loads(d.save_algebra(
+            d.direct_product(d.godel_chain(3), d.lukasiewicz_chain(3))))),
+         "", "error: problems use different algebras\n", 1, 2),
+        (_set_one_entry_true, "", "error: 'otimes' must be a 9x9 integer table\n", 1, 1),
+    ], ids=["renamed", "named-file", "not-associative", "other-algebra", "boolean-entry"])
+    def test_file_b(self, files, checks, capsys, change, out, err, code, checked):
+        change(files)
+        Path("b.json").write_text(json.dumps(files))
+        assert main(["equiv", "--a", "a.json", "--b", "b.json", "--json"]) == code
+        assert capsys.readouterr() == (out, err)
+        assert len(checks) == checked
+
+    def test_b_shares_a_s_algebra(self, files, checks):
+        Path("b.json").write_text(json.dumps(files))
+        a = d.read_problem_raw("a.json")
+        b = formats._read_problem_raw_sharing("b.json", a.algebra)
+        assert b.algebra is a.algebra and b == d.read_problem_raw("b.json")
+        assert len(checks) == 2
 
 
 class TestUsageErrors:

@@ -7,8 +7,10 @@ import pytest
 
 import drlcsp as d
 from conftest import clone, within_counter_bound
+from drl_catalog import drls
 from drlcsp.model import iter_constraints, table_groups
 from drlcsp.rng import SplitMix64
+from test_model import _reference_predicate
 
 
 class TestStrategy:
@@ -496,3 +498,49 @@ class TestAllBottomUnary:
         # entries each time; the visit of variable 2 then ends the run.
         assert out.counters == d.Counters(3, 2, 16)
         assert out.counters == _reference_sweep(problem, 2, strategy).counters
+
+
+# ---------------------------------------------------------------------------
+# Enforcement on every DRL of carrier 2..6
+
+
+_CORPUS_SEEDS = range(20)
+
+
+def _corpus_problems(alg):
+    return [d.gen_random_problem(alg, 4, 3, 7, 3, seed) for seed in _CORPUS_SEEDS]
+
+
+def _is_chain(alg) -> bool:
+    return bool((alg.leq | alg.leq.T).all())
+
+
+class TestDRLCorpus:
+    """Properties that hold on every DRL of carrier 2..6 (`tests/drl_catalog.py`),
+    on `gen_random_problem(alg, 4, 3, 7, 3, seed)` for seeds 0..19 with k=2."""
+
+    @pytest.mark.parametrize("alg", drls(6), ids=lambda a: a.name)
+    def test_join_outputs_are_equivalent(self, alg):
+        outputs = 0
+        for seed, problem in zip(_CORPUS_SEEDS, _corpus_problems(alg)):
+            out = d.enforce_k_hyperarc(problem, 2, d.JOIN)
+            if not out.inconsistent:
+                assert d.check_equivalent(problem, out.problem) is None, seed
+                outputs += 1
+        assert outputs
+
+    @pytest.mark.parametrize("alg", [a for a in drls(6) if _is_chain(a)], ids=lambda a: a.name)
+    def test_strategies_agree_on_chains(self, alg):
+        for seed, problem in zip(_CORPUS_SEEDS, _corpus_problems(alg)):
+            assert d.enforce_k_hyperarc(problem, 2, d.MAXIMAL_LEX) == d.enforce_k_hyperarc(problem, 2, d.JOIN), seed
+
+    @pytest.mark.parametrize("alg", drls(6), ids=lambda a: a.name)
+    def test_sweep_and_predicate_match_the_references(self, alg):
+        for seed, problem in zip(_CORPUS_SEEDS, _corpus_problems(alg)):
+            assert d.is_k_hyperarc_consistent(problem, 2) == _reference_predicate(problem, 2), seed
+            for strategy in (d.MAXIMAL_LEX, d.JOIN):
+                out = d.enforce_k_hyperarc(problem, 2, strategy)
+                assert out == _reference_sweep(problem, 2, strategy), (seed, strategy)
+                if not out.inconsistent:
+                    got = d.is_k_hyperarc_consistent(out.problem, 2)
+                    assert got == _reference_predicate(out.problem, 2), (seed, strategy)

@@ -239,6 +239,23 @@ class TestOneArrayParse:
         assert d.load_algebra(d.save_algebra(a)) == a and calls == []
         assert d.load_algebra(json.loads(d.save_algebra(a))) == a and len(calls) == 5
 
+    def test_a_problem_text_without_booleans_skips_the_type_test(self, monkeypatch):
+        calls = []
+        typed = formats._is_int_table
+        monkeypatch.setattr(formats, "_is_int_table", lambda *args: calls.append(1) or typed(*args))
+        p = d.gen_random_problem(d.direct_product(d.lukasiewicz_chain(3), d.godel_chain(3)), 3, 2, 5, 2, 4)
+        assert d.load_problem_raw(d.save_problem(p)).algebra == p.algebra and calls == []
+
+    def test_an_inline_algebra_follows_its_problem_text(self):
+        a = dataclasses.replace(d.direct_product(d.lukasiewicz_chain(3), d.godel_chain(3)), name="true-false")
+        obj = json.loads(d.save_problem(d.gen_random_problem(a, 3, 2, 5, 2, 4)))
+        loaded = d.load_problem_raw(json.dumps(obj)).algebra
+        assert loaded == a and loaded.name == "true-false"
+        obj["algebra"]["otimes"][1][2] = True
+        with pytest.raises(d.ParseError) as info:
+            d.load_problem_raw(json.dumps(obj))
+        assert str(info.value) == "'otimes' must be a 9x9 integer table"
+
 
 def _reference_load(text: str) -> d.FiniteDRL | None:
     """The derive-and-compare load that the single law check replaced.
