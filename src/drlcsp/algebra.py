@@ -13,7 +13,13 @@ admitted z of highest linear-extension rank (one row gather per x), and
 validated by the row gathers of the law checker's `residuation` fact;
 the blocked evaluator runs only to find a failing triple. Heyting
 distributivity is decided by that validation too: a finite lattice is
-distributive exactly when its meet has a residuum.
+distributive exactly when its meet has a residuum. An algebra keeps
+that proof as its `residuation` fact. The chains, the weighted chains
+and every loaded algebra are built by one completion step, `_completed`,
+which keeps it when it derived the residuum; `heyting_from_lattice`
+keeps its own gather's. The order and lattice proofs of
+`derive_lattice` are not kept, since no workload loads a file without a
+lattice.
 
 The law check decides most laws on whole tables, from facts that one
 check computes at most once each, on first use. The boolean facts
@@ -375,21 +381,15 @@ def _order_defect(L: np.ndarray, between: np.ndarray | None = None) -> str | Non
     return None
 
 
-# The boolean facts that a check keeps with its algebra.
-_KEPT = ("transitive", "partial", "meet_is_glb", "join_is_lub", "commutative", "residuation",
-         "otimes_associative")
-
-
 class _Facts:
     """The whole-table facts that the decisions of one law check share.
 
     Each is computed at most once, and only when some decision reads it.
-    A `FiniteDRL`'s tables are read-only, so `check_axioms` keeps the
-    boolean facts (`_KEPT`) with it, and they seed every later check of
-    it: validating an algebra on load and then checking the `derived`
-    profile runs the residuation gather once. The n x n arrays `between`
-    and `covers` (64 MB for `between` at carrier 4096) live for one
-    check.
+    A `FiniteDRL`'s tables are read-only, so `check_axioms` keeps every
+    boolean fact with it, and they seed every later check of it:
+    validating an algebra on load and then checking the `derived` profile
+    runs the residuation gather once. The n x n arrays `between` and
+    `covers` (64 MB for `between` at carrier 4096) live for one check.
     """
 
     def __init__(self, a: FiniteDRL):
@@ -619,7 +619,7 @@ def check_axioms(algebra: FiniteDRL, profile: str = "drl") -> AxiomReport:
         decide = _DECISIONS.get(law)
         witness = None if decide is not None and decide(facts) else _first_failure(algebra, law)
         checks.append(AxiomCheck(axiom, witness is None, witness))
-    algebra._facts.update((name, value) for name, value in vars(facts).items() if name in _KEPT)
+    algebra._facts.update((name, value) for name, value in vars(facts).items() if type(value) is bool)
     return AxiomReport(profile, tuple(checks))
 
 
@@ -724,6 +724,26 @@ def _greatest_admitted(L: np.ndarray, O: np.ndarray) -> np.ndarray:
     return R
 
 
+def _completed(size, leq, otimes, top, bottom, name, meet=None, join=None, residuum=None) -> FiniteDRL:
+    """The algebra on these tables, each one given as None derived first.
+
+    A derived residuum has passed the residuation gather of
+    `residuum_from_tables` on these very tables, so the algebra keeps
+    that fact and its first law check reads it.
+    """
+    if meet is None or join is None:
+        lattice = derive_lattice(leq)
+        meet = lattice[0] if meet is None else meet
+        join = lattice[1] if join is None else join
+    derived = residuum is None
+    if derived:
+        residuum = residuum_from_tables(leq, otimes)
+    algebra = FiniteDRL(size, leq, meet, join, otimes, residuum, top, bottom, name)
+    if derived:
+        algebra._facts["residuation"] = True
+    return algebra
+
+
 # ---------------------------------------------------------------------------
 # Classification
 
@@ -776,9 +796,7 @@ def _build_chain(n: int, product: Callable, name: str) -> FiniteDRL:
     _require_within_cap(n)
     leq, meet, join = _chain_tables(n)
     ids = np.arange(n)
-    otimes = product(ids[:, None], ids[None, :])
-    residuum = residuum_from_tables(leq, otimes)
-    return FiniteDRL(n, leq, meet, join, otimes, residuum, n - 1, 0, name)
+    return _completed(n, leq, product(ids[:, None], ids[None, :]), n - 1, 0, name, meet, join)
 
 
 def boolean() -> FiniteDRL:
@@ -811,13 +829,11 @@ def weighted(n: int) -> FiniteDRL:
         raise ValueError("cost bound must be at least 1")
     size = n + 1
     _require_within_cap(size)
+    # The chain on ids reversed: its order is the transpose, meet and join swap.
+    leq, meet, join = _chain_tables(size)
     ids = np.arange(size)
-    leq = np.greater_equal.outer(ids, ids)
-    meet = np.maximum.outer(ids, ids)
-    join = np.minimum.outer(ids, ids)
     otimes = np.minimum(n, np.add.outer(ids, ids))
-    residuum = residuum_from_tables(leq, otimes)
-    return FiniteDRL(size, leq, meet, join, otimes, residuum, 0, n, f"weighted({n})")
+    return _completed(size, np.ascontiguousarray(leq.T), otimes, 0, n, f"weighted({n})", join, meet)
 
 
 def heyting_from_lattice(leq, name: str = "") -> FiniteDRL:
@@ -838,7 +854,9 @@ def heyting_from_lattice(leq, name: str = "") -> FiniteDRL:
     if not _residuated(L, meet, residuum):
         semiring = SimpleNamespace(size=n, join=join, otimes=meet)
         raise NotDistributive(_first_failure(semiring, _law_otimes_distributes_join))
-    return FiniteDRL(n, L, meet, join, meet, residuum, top, bottom, name or f"heyting({n})")
+    h = FiniteDRL(n, L, meet, join, meet, residuum, top, bottom, name or f"heyting({n})")
+    h._facts["residuation"] = True  # the gather above proved it
+    return h
 
 
 def direct_product(a: FiniteDRL, b: FiniteDRL) -> FiniteDRL:

@@ -19,14 +19,7 @@ from pathlib import Path
 import numpy as np
 import orjson
 
-from .algebra import (
-    FiniteDRL,
-    _in_carrier,
-    _require_within_cap,
-    check_axioms,
-    derive_lattice,
-    residuum_from_tables,
-)
+from .algebra import FiniteDRL, _completed, _in_carrier, _require_within_cap, check_axioms
 from .errors import (
     AxiomViolation,
     FormatError,
@@ -191,12 +184,11 @@ def load_algebra(source: str | dict, *, validate: bool = True) -> FiniteDRL:
     """Parse an algebra, deriving any absent meet/join/residuum tables.
 
     `source` is the JSON text, or the object decoded from it (an inline
-    algebra of a problem file). Only absent tables are derived:
-    `derive_lattice` when meet or join is missing,
-    `residuum_from_tables` when the residuum is. With validate=True (the
-    default) the result, with the file's own tables and declared top and
-    bottom, must pass the exhaustive `drl` law check, else AxiomViolation
-    is raised. Those laws force each table to be the unique one the order
+    algebra of a problem file). Only absent tables are derived, by the
+    algebra module's completion step, which keeps the residuation fact of
+    a derived residuum. With validate=True (the default) the result, with
+    the file's own tables and declared top and bottom, must pass the
+    exhaustive `drl` law check, else AxiomViolation is raised. Those laws force each table to be the unique one the order
     and the product determine. With validate=False the tables are taken
     as given, which lets `algebra check` report law failures instead of
     refusing to load.
@@ -245,23 +237,7 @@ def _algebra_from_obj(obj, typed: bool) -> FiniteDRL:
     otimes = _table(obj.get("otimes"), "otimes", size, typed)
     tables = {key: _table(obj[key], key, size, typed)
               for key in ("meet", "join", "residuum") if key in obj}
-
-    if "meet" not in tables or "join" not in tables:
-        meet, join, _, _ = derive_lattice(leq)
-        tables.setdefault("meet", meet)
-        tables.setdefault("join", join)
-    derived_residuum = "residuum" not in tables
-    if derived_residuum:
-        tables["residuum"] = residuum_from_tables(leq, otimes)
-
-    algebra = FiniteDRL(
-        size, leq, tables["meet"], tables["join"], otimes, tables["residuum"],
-        obj["top"], obj["bottom"], name,
-    )
-    if derived_residuum:
-        # residuum_from_tables validated residuation on these very tables.
-        algebra._facts["residuation"] = True
-    return algebra
+    return _completed(size, leq, otimes, obj["top"], obj["bottom"], name, **tables)
 
 
 def read_lattice(path: str | Path) -> np.ndarray:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import random
 import re
@@ -1002,6 +1003,78 @@ class TestFactsKept:
         assert not fresh["drl"].ok or not fresh["derived"].ok
         # the kept facts that were False cover most kinds
         assert {"partial", "commutative", "residuation", "otimes_associative"} <= false_facts
+
+
+def _pinned_chains() -> list:
+    """boolean, Goedel 2-12, Lukasiewicz 2-12 and weighted 1-12, in this order."""
+    return ([d.boolean()] + [d.godel_chain(n) for n in range(2, 13)]
+            + [d.lukasiewicz_chain(n) for n in range(2, 13)] + [d.weighted(n) for n in range(1, 13)])
+
+
+# The sha256 of the concatenated `save_algebra` texts of `_pinned_chains()`.
+_PINNED_CHAINS_DIGEST = "f3bf731560692c2b36db7cb98d384e3832bda0208e0ffae1f0255bb33dfd0411"
+
+
+class TestConstructorsKeepResiduation:
+    """Each constructor keeps the residuation fact that its own gather proved,
+    and the loader keeps the one of a residuum it derived."""
+
+    gathers = TestFactsKept.gathers
+
+    @staticmethod
+    def _constructed() -> list:
+        heyting = [d.heyting_from_lattice(leq, name) for name, leq in distributive_lattices(6)]
+        return _pinned_chains() + heyting
+
+    def test_the_first_drl_check_runs_no_gather(self, gathers):
+        for a in self._constructed():
+            assert a._facts == {"residuation": True}, a.name
+            gathers.clear()
+            assert d.check_axioms(a, "drl").ok and gathers == [], a.name
+
+    def test_the_kept_fact_never_changes_a_report(self):
+        for a in self._constructed():
+            for profile in algebra.PROFILES:
+                bare = dataclasses.replace(a)
+                assert bare._facts == {}
+                assert d.check_axioms(a, profile) == d.check_axioms(bare, profile), (a.name, profile)
+
+    def test_saved_chains_are_pinned(self):
+        text = "".join(d.save_algebra(a) for a in _pinned_chains())
+        assert hashlib.sha256(text.encode()).hexdigest() == _PINNED_CHAINS_DIGEST
+
+    @pytest.mark.parametrize("absent", [("residuum",), ("meet", "join", "residuum")])
+    def test_every_catalog_drl_loads_without_derived_tables(self, gathers, absent):
+        for a in drls(6):
+            obj = {key: value for key, value in orjson.loads(d.save_algebra(a)).items()
+                   if key not in absent}
+            gathers.clear()
+            loaded = d.load_algebra(orjson.dumps(obj).decode())
+            # one gather derives the residuum; the validating drl check reads it
+            assert loaded == a and len(gathers) == 1, a.name
+            for profile in ("drl", "derived"):
+                assert d.check_axioms(loaded, profile) == d.check_axioms(dataclasses.replace(a), profile)
+
+
+class TestRefusals:
+    """Refusals, each with its exception type and message."""
+
+    def test_empty_carrier(self):
+        with pytest.raises(ValueError) as info:
+            d.FiniteDRL(0, [], [], [], [], [], 0, 0)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "carrier must have at least one element"
+
+    def test_order_not_square(self):
+        with pytest.raises(ValueError) as info:
+            d.derive_lattice([[1, 1]])
+        assert type(info.value) is ValueError and str(info.value) == "order table must be square"
+
+    def test_equality_and_repr(self):
+        g = d.godel_chain(3)
+        assert g.__eq__(3) is NotImplemented and (g == 3) is False
+        assert repr(g) == "FiniteDRL(godel(3), size=3)"
+        assert repr(dataclasses.replace(g, name="")) == "FiniteDRL(anonymous, size=3)"
 
 
 def _chain(a: d.FiniteDRL) -> bool:

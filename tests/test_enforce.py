@@ -28,6 +28,11 @@ class TestStrategy:
             d.parse_strategy(text)
         assert str(exc.value) == f"cannot parse strategy {text!r}"
 
+    def test_unknown_kind_refused(self):
+        with pytest.raises(ValueError) as exc:
+            d.Strategy("bogus")
+        assert type(exc.value) is ValueError and str(exc.value) == "unknown strategy 'bogus'"
+
     def test_seed_required_exactly_for_seeded(self):
         with pytest.raises(ValueError):
             d.Strategy("maximal-lex", seed=1)

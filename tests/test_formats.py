@@ -352,11 +352,12 @@ class TestSingleValidator:
         def derivation(*args):
             raise AssertionError("a table was derived on load")
 
-        monkeypatch.setattr(formats, "derive_lattice", derivation)
-        monkeypatch.setattr(formats, "residuum_from_tables", derivation)
+        # Built before the patch: the weighted chain derives its own residuum.
+        problem = d.gen_random_problem(d.weighted(4), 3, 2, 4, 2, seed=3)
+        monkeypatch.setattr(algebra, "derive_lattice", derivation)
+        monkeypatch.setattr(algebra, "residuum_from_tables", derivation)
         for a in bases:
             assert d.load_algebra(d.save_algebra(a)) == a
-        problem = d.gen_random_problem(d.weighted(4), 3, 2, 4, 2, seed=3)
         assert d.load_problem(d.save_problem(problem)) == problem
 
     @pytest.mark.parametrize("base,field,message", [
@@ -390,6 +391,31 @@ class TestSingleValidator:
         with pytest.raises(d.ParseError) as inline_error:
             d.load_problem_raw(payload)
         assert str(inline_error.value) == str(from_file.value) == message
+
+
+class TestProblemRefusals:
+    """Refusals of a problem's constraints, each with its exception type and message."""
+
+    @staticmethod
+    def _load(domains, constraints):
+        text = json.dumps({"algebra": json.loads(d.save_algebra(d.boolean())),
+                           "domains": domains, "constraints": constraints})
+        return d.load_problem_raw(text)
+
+    @pytest.mark.parametrize("constraints,message", [
+        ({}, "'constraints' must be a list"),
+        ([1], "each constraint must be an object"),
+    ])
+    def test_constraints_not_a_list_of_objects(self, constraints, message):
+        with pytest.raises(d.ParseError) as info:
+            self._load([2], constraints)
+        assert type(info.value) is d.ParseError and str(info.value) == message
+
+    def test_a_table_too_large_is_refused_before_its_values_are_read(self):
+        with pytest.raises(d.TooLarge) as info:
+            self._load([1001, 1000], [{"scope": [0, 1], "values": "unread"}])
+        assert type(info.value) is d.TooLarge
+        assert str(info.value) == "table for scope [0, 1] needs 1001000 entries"
 
 
 class TestProblemRoundTrip:

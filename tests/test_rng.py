@@ -38,6 +38,9 @@ class TestBlockDraws:
     def test_non_positive_bound_refused(self):
         with pytest.raises(ValueError):
             SplitMix64(0).below_many(0, 3)
+        with pytest.raises(ValueError) as info:
+            SplitMix64(0).below(0)
+        assert type(info.value) is ValueError and str(info.value) == "below() needs a positive bound"
 
 
 class TestSkip:
