@@ -58,9 +58,10 @@ strategy. Outputs, counters and the seeded stream are those of calling
 are marked.
 
 The sweep runs on a working copy whose tables are owned `intp` arrays,
-converted once from the input's lists, those of one shape with one
-`np.fromiter` into a stack whose rows are the tables; `project` updates
-them in place and they go back to lists of Python ints at the end.
+converted once from the input's lists, those of one shape from their
+packed ids into a stack whose rows are the tables (`model.table_groups`);
+`project` updates them in place and they go back to lists of Python
+ints at the end.
 
 How x is chosen is configurable. On totally ordered algebras every
 choice coincides (the candidate set has a maximum); on general lattices

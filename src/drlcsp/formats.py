@@ -29,7 +29,7 @@ from .errors import (
     TooLarge,
     ValueOutOfRange,
 )
-from .model import Constraint, Problem, RawProblem, iter_constraints, normalize, table_len
+from .model import Constraint, Problem, RawProblem, _packed_ids, iter_constraints, normalize, table_len
 from .rng import SplitMix64, check_seed
 
 MAX_TABLE_ENTRIES = 1_000_000
@@ -172,7 +172,22 @@ def _table(table, key: str, size: int, typed: bool) -> np.ndarray:
 
 
 def _may_hold_booleans(text: str) -> bool:
-    return "true" in text or "false" in text
+    """Whether `text` holds `true` or `false`, the only words JSON writes
+    a boolean as: `"true" in text or "false" in text`.
+
+    str's substring search steps one character at a time over the digits
+    2, 4 and 5 and commas, which share bloom-mask bits with the needles'
+    letters. So each "u" and each "f" is found with str.find instead, and
+    the word around it compared; of the schema's keys only "values" and
+    "residuum" hold a "u", and none holds an "f".
+    """
+    for letter, word, offset in (("u", "true", 2), ("f", "false", 0)):
+        at = text.find(letter, offset)
+        while at != -1:
+            if text.startswith(word, at - offset):
+                return True
+            at = text.find(letter, at + 1)
+    return False
 
 
 class _BooleanFree(dict):
@@ -286,10 +301,12 @@ def load_problem_raw(
 
     The algebra comes from the `algebra` argument when given, otherwise
     from the payload's "algebra" field (an inline object or a path to an
-    algebra file, resolved against `base_dir`). An inline algebra's tables
-    get the exact type test only when `text` holds `true` or `false`.
+    algebra file, resolved against `base_dir`). `text` is scanned once
+    for `true` and `false`; an inline algebra's tables and the constraint
+    tables get the exact type test only when it holds either.
     """
-    return _decoded(text, lambda obj: _problem_from_obj(obj, algebra, base_dir, text))
+    typed = _may_hold_booleans(text)
+    return _decoded(text, lambda obj: _problem_from_obj(obj, algebra, base_dir, typed))
 
 
 def _read_problem_raw_sharing(path: str | Path, known: FiniteDRL) -> RawProblem:
@@ -300,18 +317,41 @@ def _read_problem_raw_sharing(path: str | Path, known: FiniteDRL) -> RawProblem:
     """
     p = Path(path)
     text = p.read_text()
-    return _decoded(text, lambda obj: _problem_from_obj(obj, None, p.parent, text, known))
+    typed = _may_hold_booleans(text)
+    return _decoded(text, lambda obj: _problem_from_obj(obj, None, p.parent, typed, known))
+
+
+def _values_outside(scope) -> ValueOutOfRange:
+    return ValueOutOfRange(f"scope {list(scope)} has values outside the algebra")
+
+
+def _refuse_ids_past(constraints: list[Constraint], packed: list[bytes], size: int) -> None:
+    """Refuse the first of `constraints` whose table, packed in `packed`,
+    holds an id >= `size`; one range test covers every table."""
+    ids = np.frombuffer(b"".join(packed), "<u2")
+    if ids.size and ids.max() >= size:
+        ends = np.cumsum([len(p) // 2 for p in packed])
+        first = int(np.searchsorted(ends, np.argmax(ids >= size), side="right"))
+        raise _values_outside(constraints[first].scope) from None
 
 
 def _problem_from_obj(
     obj,
     algebra: FiniteDRL | None,
     base_dir: str | Path | None,
-    text: str,
+    typed: bool,
     known: FiniteDRL | None = None,
 ) -> RawProblem:
-    """The problem `obj`, decoded from `text`, describes; `known` as for
-    `_read_problem_raw_sharing`."""
+    """The problem `obj` describes, not yet normalized.
+
+    `typed` says whether its text may hold a boolean (`_may_hold_booleans`),
+    and `known` is as for `_read_problem_raw_sharing`. Each table's values
+    are packed to 16-bit ids by one struct call, which refuses every
+    value but an int in [0, 2**16) or a boolean; so the exact type test
+    runs only when `typed`, and one range test after the loop covers
+    every table. A table holding an id >= size is refused before any
+    later constraint, as a check table by table would.
+    """
     if not isinstance(obj, dict):
         raise ParseError("problem payload must be an object")
 
@@ -323,7 +363,7 @@ def _problem_from_obj(
                 path = Path(base_dir) / path
             algebra = _validated(load_algebra(path.read_text(), validate=False), known)
         elif isinstance(ref, dict):
-            if not _may_hold_booleans(text):
+            if not typed:
                 ref = _BooleanFree(ref)
             algebra = _validated(load_algebra(ref, validate=False), known)
         else:
@@ -347,30 +387,38 @@ def _problem_from_obj(
     entries = obj.get("constraints")
     if not isinstance(entries, list):
         raise ParseError("'constraints' must be a list")
-    elements = frozenset(range(algebra.size))
-    constraints = []
-    for entry in entries:
-        if not isinstance(entry, dict):
-            raise ParseError("each constraint must be an object")
-        scope = entry.get("scope")
-        if not isinstance(scope, list) or any(type(v) is not int for v in scope):
-            raise ScopeError("'scope' must be a list of variable ids")
-        if any(not 0 <= v < n for v in scope):
-            raise ScopeError(f"scope {scope} mentions unknown variables")
-        if any(a >= b for a, b in zip(scope, scope[1:])):
-            raise ScopeError(f"scope {scope} must be strictly increasing")
-        scope_t = tuple(scope)
-        expected = table_len(scope_t, domain_sizes)
-        if expected > MAX_TABLE_ENTRIES:
-            raise TooLarge(f"table for scope {scope} needs {expected} entries")
-        values = entry.get("values")
-        if not isinstance(values, list) or len(values) != expected:
-            raise ParseError(f"scope {scope} needs exactly {expected} values")
-        # Two passes in C; the type test also rejects JSON booleans, which
-        # the set lookup alone would take for 0 and 1.
-        if set(map(type, values)) != {int} or not elements.issuperset(values):
-            raise ValueOutOfRange(f"scope {scope} has values outside the algebra")
-        constraints.append(Constraint(scope_t, values))
+    constraints: list[Constraint] = []
+    packed: list[bytes] = []
+    try:
+        for entry in entries:
+            if not isinstance(entry, dict):
+                raise ParseError("each constraint must be an object")
+            scope = entry.get("scope")
+            if not isinstance(scope, list) or any(type(v) is not int for v in scope):
+                raise ScopeError("'scope' must be a list of variable ids")
+            if any(not 0 <= v < n for v in scope):
+                raise ScopeError(f"scope {scope} mentions unknown variables")
+            if any(a >= b for a, b in zip(scope, scope[1:])):
+                raise ScopeError(f"scope {scope} must be strictly increasing")
+            scope_t = tuple(scope)
+            expected = table_len(scope_t, domain_sizes)
+            if expected > MAX_TABLE_ENTRIES:
+                raise TooLarge(f"table for scope {scope} needs {expected} entries")
+            values = entry.get("values")
+            if not isinstance(values, list) or len(values) != expected:
+                raise ParseError(f"scope {scope} needs exactly {expected} values")
+            if typed and set(map(type, values)) != {int}:
+                raise _values_outside(scope)
+            try:
+                packed.append(_packed_ids(scope, values))
+            except ValueError:
+                raise _values_outside(scope) from None
+            constraints.append(Constraint(scope_t, values))
+    except (ParseError, TooLarge):
+        # An earlier table holding an id >= size is refused first.
+        _refuse_ids_past(constraints, packed, algebra.size)
+        raise
+    _refuse_ids_past(constraints, packed, algebra.size)
     return RawProblem(algebra, domain_sizes, constraints)
 
 

@@ -10,8 +10,8 @@ constraints, and drops domain values whose unary value is bottom.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
-from itertools import chain
 from math import prod
 from typing import Iterator
 
@@ -86,6 +86,22 @@ def intp_array(values: list[int]) -> np.ndarray:
     return np.fromiter(values, np.intp, len(values))
 
 
+def _packed_ids(scope, values) -> bytes:
+    """The table `values` of `scope` as little-endian 16-bit element ids,
+    packed by one struct call.
+
+    CARRIER_CAP (4096) keeps every element id below 2**16. Raises
+    ValueError naming the scope for a value struct refuses: a float,
+    a string, None, a list, or an int outside [0, 2**16). struct takes
+    True and False as 1 and 0, so a caller that must refuse booleans
+    tests for them itself.
+    """
+    try:
+        return struct.pack(f"<{len(values)}H", *values)
+    except struct.error:
+        raise ValueError(f"scope {scope} has values that are not element ids") from None
+
+
 def row_index(sizes: tuple[int, ...], pos: int, live: np.ndarray | None = None) -> np.ndarray:
     """Flat row-major positions of a table of `sizes`, one row per value of
     coordinate `pos` in the canonical order of the other coordinates, and
@@ -100,7 +116,8 @@ def row_index(sizes: tuple[int, ...], pos: int, live: np.ndarray | None = None) 
 class TableGroup:
     """The stored scopes of one table shape, with their tables stacked.
 
-    `stack[j]` is a new `intp` copy of the table of `scopes[j]`, and
+    `stack[j]` is a new `intp` copy of the table of `scopes[j]`, read
+    from its packed ids (`_packed_ids`), and
     `all_top[pos, j]` says whether every row of that table at coordinate
     `pos` (see `row_index`) holds top. A row that holds top has the witness
     top, since u * top = u and top -> v = v, so where the flag is set a
@@ -117,10 +134,13 @@ class TableGroup:
 def table_groups(problem: Problem, k: int) -> list[TableGroup]:
     """The stored scopes of arity 2..k, grouped by their `sizes`.
 
-    Each group's tables are read with one `np.fromiter` into an
-    `[m, prod(sizes)]` array, and `all_top` is found with one row gather
-    and reduction per coordinate, so the cost per group does not grow
-    with m in numpy calls. Scopes keep the constraint store's order.
+    Each table is packed to 16-bit ids with one struct call
+    (`_packed_ids`), and each group's packed tables are read with one
+    `np.frombuffer` into an `[m, prod(sizes)]` `intp` array; a value
+    that is not an element id below 2**16 raises ValueError naming its
+    scope. `all_top` is found with one row gather and reduction per
+    coordinate, so the cost per group does not grow with m in numpy
+    calls. Scopes keep the constraint store's order.
     """
     by_sizes: dict[tuple[int, ...], list[Scope]] = {}
     for scope in problem.constraints:
@@ -130,8 +150,8 @@ def table_groups(problem: Problem, k: int) -> list[TableGroup]:
     groups = []
     for sizes, scopes in by_sizes.items():
         m, length = len(scopes), prod(sizes)
-        values = chain.from_iterable([problem.constraints[s].values for s in scopes])
-        stack = np.fromiter(values, np.intp, m * length).reshape(m, length)
+        packed = b"".join([_packed_ids(s, problem.constraints[s].values) for s in scopes])
+        stack = np.frombuffer(packed, "<u2").astype(np.intp).reshape(m, length)
         held = stack == top
         all_top = np.array([
             held.take(row_index(sizes, pos), axis=1).any(axis=2).all(axis=1) for pos in range(len(sizes))

@@ -177,7 +177,7 @@ def _table_mutation(obj: dict, rng: random.Random) -> str:
 def _parse_outcome(parse):
     try:
         return parse()
-    except (d.FormatError, d.AlgebraError) as exc:  # a refusal is compared by class and message
+    except (d.FormatError, d.AlgebraError, d.TooLarge) as exc:  # a refusal is compared by class and message
         return type(exc), str(exc)
 
 
@@ -245,6 +245,16 @@ class TestOneArrayParse:
         monkeypatch.setattr(formats, "_is_int_table", lambda *args: calls.append(1) or typed(*args))
         p = d.gen_random_problem(d.direct_product(d.lukasiewicz_chain(3), d.godel_chain(3)), 3, 2, 5, 2, 4)
         assert d.load_problem_raw(d.save_problem(p)).algebra == p.algebra and calls == []
+
+    def test_boolean_scan_matches_substring_search(self):
+        # Every text of up to five of the needles' letters, so each letter
+        # sits at each of the indices 0-4, then longer random texts that
+        # mix in JSON punctuation and digits.
+        texts = ["".join(letters) for k in range(6) for letters in itertools.product("truefals", repeat=k)]
+        rng = random.Random(2008)
+        texts += ["".join(rng.choices("truefals ,[0", k=rng.randrange(6, 24))) for _ in range(20000)]
+        for text in texts:
+            assert formats._may_hold_booleans(text) == ("true" in text or "false" in text), text
 
     def test_an_inline_algebra_follows_its_problem_text(self):
         a = dataclasses.replace(d.direct_product(d.lukasiewicz_chain(3), d.godel_chain(3)), name="true-false")
@@ -391,6 +401,131 @@ class TestSingleValidator:
         with pytest.raises(d.ParseError) as inline_error:
             d.load_problem_raw(payload)
         assert str(inline_error.value) == str(from_file.value) == message
+
+
+# The constraint checks of the entry-by-entry loader, kept as the reference
+# for the packed value check: each problem's refusal, or its tables.
+
+
+def _reference_constraints(obj: dict, size: int) -> list[tuple[tuple, list]]:
+    """The (scope, values) pairs of `obj`, whose algebra has `size`
+    elements and whose domains are valid, or the loader's refusal."""
+    domain_sizes = tuple(obj["domains"])
+    n = len(domain_sizes)
+    elements = frozenset(range(size))
+    constraints = []
+    for entry in obj["constraints"]:
+        if not isinstance(entry, dict):
+            raise d.ParseError("each constraint must be an object")
+        scope = entry.get("scope")
+        if not isinstance(scope, list) or any(type(v) is not int for v in scope):
+            raise d.ScopeError("'scope' must be a list of variable ids")
+        if any(not 0 <= v < n for v in scope):
+            raise d.ScopeError(f"scope {scope} mentions unknown variables")
+        if any(a >= b for a, b in zip(scope, scope[1:])):
+            raise d.ScopeError(f"scope {scope} must be strictly increasing")
+        expected = int(np.prod([domain_sizes[v] for v in scope]))
+        if expected > formats.MAX_TABLE_ENTRIES:
+            raise d.TooLarge(f"table for scope {scope} needs {expected} entries")
+        values = entry.get("values")
+        if not isinstance(values, list) or len(values) != expected:
+            raise d.ParseError(f"scope {scope} needs exactly {expected} values")
+        if set(map(type, values)) != {int} or not elements.issuperset(values):
+            raise d.ValueOutOfRange(f"scope {scope} has values outside the algebra")
+        constraints.append((tuple(scope), values))
+    return constraints
+
+
+# JSON tokens put in place of one table value; "size" is the algebra's size.
+_VALUE_FAULTS = ["1.0", "1.5", "1e2", "true", "false", '"1"', "null", "[1]", "-1", "size",
+                 "65535", "65536", str(2**63), str(2**64)]
+# Faults of a whole constraint, refused after its values would be read;
+# each takes the constraint list and the index of the one it changes.
+_ENTRY_FAULTS = {
+    "scope": lambda entries, i: entries[i].update(scope=entries[i]["scope"][::-1] + [0]),
+    "unknown": lambda entries, i: entries[i].update(scope=[0, 9]),
+    "length": lambda entries, i: entries[i]["values"].pop(),
+    "object": lambda entries, i: entries.__setitem__(i, 1),
+    "too large": lambda entries, i: entries[i].update(scope=[3, 4], values=[]),
+    "boolean": lambda entries, i: entries[i]["values"].__setitem__(0, True),
+}
+
+
+def _value_fault_text(obj: dict, rng: random.Random, size: int) -> tuple[str, str]:
+    """JSON text of `obj` with one or two faults in different constraints; name them."""
+    entries = obj["constraints"]
+    first, later = sorted(rng.sample(range(len(entries)), 2))
+    if rng.random() < 0.5:  # an id out of range before a later refusal
+        picks = [(first, rng.choice(["size", "65535"]))]
+        kind = rng.choice(list(_ENTRY_FAULTS))
+        _ENTRY_FAULTS[kind](entries, later)
+        change = f"{picks[0][1]} before {kind}"
+    else:
+        picks = sorted((i, rng.choice(_VALUE_FAULTS)) for i in rng.sample([first, later], rng.randint(1, 2)))
+        change = " then ".join(token for _, token in picks)
+    for i, _ in picks:
+        values = entries[i]["values"]
+        values[rng.randrange(len(values))] = "@@"
+    text = json.dumps(obj)
+    for _, token in picks:  # the markers appear in constraint order
+        text = text.replace('"@@"', str(size) if token == "size" else token, 1)
+    return text, change
+
+
+class TestPackedValueCheck:
+    """Each table's values are packed by one struct call and range-tested
+    once per load, with the outcome of the entry-by-entry checks: the same
+    refusal, first in file order, or the same tables."""
+
+    def test_mutated_values_match_the_entry_checks(self, tmp_path):
+        rng = random.Random(2024)
+        domains = [2, 3, 2, 1001, 1000]
+        scopes = [(0,), (1,), (2,), (0, 1), (1, 2), (0, 2), (0, 1, 2)]
+        kinds = set()
+        for alg in (d.boolean(), d.direct_product(d.lukasiewicz_chain(3), d.godel_chain(3))):
+            algebra_obj = json.loads(d.save_algebra(alg))
+            (tmp_path / "a.json").write_text(d.save_algebra(alg))
+            for _ in range(150):
+                named = rng.random() < 0.25  # a name holding `true`, with integer values
+                inline = dict(algebra_obj, name="true-false") if named else algebra_obj
+                known = dataclasses.replace(alg, name="true-false") if named else alg
+                constraints = [
+                    {"scope": list(s), "values": [rng.randrange(alg.size)
+                                                  for _ in range(int(np.prod([domains[v] for v in s])))]}
+                    for s in rng.sample(scopes, rng.randint(2, len(scopes)))
+                ]
+                obj = {"algebra": inline, "domains": domains, "constraints": constraints}
+                if rng.random() < 0.9:
+                    text, change = _value_fault_text(obj, rng, alg.size)
+                else:
+                    text, change = json.dumps(obj), "none"
+                kinds.add(change)
+                kinds.update(change.replace(" before ", " then ").split(" then "))
+                decoded = json.loads(text)
+                expected = _parse_outcome(lambda: _reference_constraints(decoded, alg.size))
+                by_path = text.replace(json.dumps(inline), '"a.json"')
+                (tmp_path / "p.json").write_text(by_path)
+                for route, load in (
+                    ("inline", lambda: d.load_problem_raw(text)),
+                    ("path", lambda: d.load_problem_raw(by_path, base_dir=tmp_path)),
+                    ("argument", lambda: d.load_problem_raw(text, known)),
+                    ("sharing", lambda: formats._read_problem_raw_sharing(tmp_path / "p.json", alg)),
+                ):
+                    got = _parse_outcome(load)
+                    if isinstance(got, d.RawProblem):
+                        assert all(type(v) is int for c in got.constraints for v in c.values)
+                        got = [(c.scope, c.values) for c in got.constraints]
+                    assert got == expected, (route, change)
+        assert {f"{t} before {k}" for t in ("size", "65535") for k in _ENTRY_FAULTS} <= kinds
+        assert set(_VALUE_FAULTS) <= kinds and "none" in kinds
+
+    def test_one_range_test_per_load(self, monkeypatch):
+        calls = []
+        frombuffer = np.frombuffer
+        monkeypatch.setattr(formats.np, "frombuffer", lambda *args: calls.append(1) or frombuffer(*args))
+        p = d.gen_random_problem(d.weighted(10), 6, 3, 12, 3, 5)
+        assert d.load_problem_raw(d.save_problem(p)).algebra == p.algebra
+        assert len(calls) == 1
 
 
 class TestProblemRefusals:

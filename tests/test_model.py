@@ -181,6 +181,35 @@ class TestTableGroups:
                         assert sorted(grouped) == sorted(s for s in problem.constraints if 2 <= len(s) <= k)
         assert flags == {True, False}
 
+    def test_stacks_match_the_fromiter_reference(self, w10):
+        for seed in range(6):
+            p = d.gen_random_problem(w10, 5, 2 + seed % 3, 12, 3, seed)
+            arrays = d.Problem(w10, p.domain_sizes, {
+                s: d.Constraint(s, np.array(c.values, dtype=np.intp)) for s, c in p.constraints.items()
+            })
+            for problem in (p, arrays):
+                for group in table_groups(problem, 3):
+                    reference = np.stack([
+                        np.fromiter(problem.constraints[s].values, np.intp, len(problem.constraints[s].values))
+                        for s in group.scopes
+                    ])
+                    assert group.stack.dtype == np.intp and group.stack.flags.writeable
+                    assert np.array_equal(group.stack, reference)
+
+    @pytest.mark.parametrize("bad", [1.5, -1, 65536])
+    def test_values_that_are_not_element_ids_are_refused(self, w4, bad):
+        # np.fromiter would read 1.5 as 1 and -1 as an index from the end.
+        p = d.Problem(w4, (2, 2), {
+            (0,): d.Constraint((0,), [0, 0]),
+            (1,): d.Constraint((1,), [0, 0]),
+            (0, 1): d.Constraint((0, 1), [0, 1, bad, 2]),
+        })
+        for run in (lambda: table_groups(p, 2), lambda: d.enforce_k_hyperarc(p, 2),
+                    lambda: d.is_k_hyperarc_consistent(p, 2)):
+            with pytest.raises(ValueError) as info:
+                run()
+            assert str(info.value) == "scope (0, 1) has values that are not element ids"
+
 
 class TestConsistencyPredicate:
     def test_all_top_tables_are_consistent(self, godel3):
