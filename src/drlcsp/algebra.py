@@ -31,9 +31,14 @@ read them; the n x n arrays behind them are rebuilt. One count product
 covering pairs; reflexivity, antisymmetry and the bounds read the
 diagonal, that test, one row or one column. Meets and joins are
 decided by counting common bounds, on a transitive order; monotonicity
-on the covering pairs of a partial order; distributivity over joins
-from residuation on a partial order; residuation and `join`'s
-associativity by row gathers. Associativity of the product is checked
+from residuation and commutativity on a partial order (residuation
+gives y <= z -> (z*y), so x <= y gives z*x <= z*y), else on the
+covering pairs of a partial order; distributivity over joins from
+residuation on a partial order; `join`'s associativity from `join`
+giving the lubs of a partial order, else by row gathers, as for
+residuation. After a `drl` check, whose kept facts hold these
+premises, the other profiles of a DRL run no count product and no
+full associativity gather. Associativity of the product is checked
 on the join-irreducibles J alone (the elements with exactly one lower
 cover) when the order is partial, `bottom` is least, `join` gives the
 lubs, the product commutes and residuation holds: x * _ is then a left
@@ -493,10 +498,14 @@ def _associative(T: np.ndarray) -> bool:
 
 
 def _decide_otimes_monotone(f: _Facts) -> bool:
-    # In a finite partial order every x < y is a chain of covers (pairs with
+    # Residuation gives y <= z -> (z*y), so on a partial order x <= y gives
+    # z*x <= z*y, and x*z <= y*z when the product commutes. Otherwise, in
+    # a finite partial order every x < y is a chain of covers (pairs with
     # nothing strictly between), so the covering pairs suffice.
     if not f.partial:
         return False
+    if f.commutative and f.residuation:
+        return True
     L, O = f.a.leq, f.a.otimes
     xs, ys = np.nonzero(f.covers)
     step = max(1, _POINT_BUDGET // f.a.size)
@@ -511,6 +520,12 @@ def _decide_otimes_distributes_join(f: _Facts) -> bool:
         return True
     J = f.a.join
     return all(np.array_equal(row[J], J[row][:, row]) for row in f.a.otimes)
+
+
+def _decide_join_associative(f: _Facts) -> bool:
+    # Binary lubs in a partial order are associative: both sides are the lub
+    # of {x, y, z}.
+    return (f.partial and f.join_is_lub) or _associative(f.a.join)
 
 
 def _decide_residuum_exchange(f: _Facts) -> bool:
@@ -546,7 +561,7 @@ _DECISIONS: dict[Callable, Callable[[_Facts], bool]] = {
     _law_join_is_lub: lambda f: f.join_is_lub,
     _law_otimes_commutative: lambda f: f.commutative,
     _law_otimes_associative: lambda f: f.otimes_associative,
-    _law_join_associative: lambda f: _associative(f.a.join),
+    _law_join_associative: _decide_join_associative,
     _law_residuation: lambda f: f.residuation,
     _law_otimes_monotone: _decide_otimes_monotone,
     _law_otimes_distributes_join: _decide_otimes_distributes_join,

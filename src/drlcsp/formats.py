@@ -75,7 +75,10 @@ def _canonical(payload) -> str:
 
 
 def _decoded(text: str, build, where: str = ""):
-    """`build` applied to the JSON value `text` holds.
+    """`build(obj, typed)` for the JSON value `obj` that `text` holds.
+
+    `typed` is `_may_hold_booleans(text)`: every reader's scan for JSON
+    booleans runs here, once per text, whichever decoder reads it.
 
     orjson decodes first. It reads integers outside [-2**63, 2**64) as
     floats and refuses NaN, the infinities, 1e400 and lone surrogates,
@@ -89,9 +92,10 @@ def _decoded(text: str, build, where: str = ""):
     is nested too deeply for json, raises ParseError ("invalid JSON"
     plus `where`).
     """
+    typed = _may_hold_booleans(text)
     if text.count("[") + 3 * text.count("{") <= _ORJSON_MAX_NESTING:
         try:
-            return build(orjson.loads(text))
+            return build(orjson.loads(text), typed)
         except orjson.JSONDecodeError:
             pass
         except FormatError:
@@ -101,7 +105,7 @@ def _decoded(text: str, build, where: str = ""):
         obj = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON{where}: {exc}") from exc
-    return build(obj)
+    return build(obj, typed)
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +215,7 @@ def load_algebra(source: str | dict, *, validate: bool = True) -> FiniteDRL:
     if isinstance(source, dict):
         algebra = _algebra_from_obj(source, typed=not isinstance(source, _BooleanFree))
     else:
-        typed = _may_hold_booleans(source)
-        algebra = _decoded(source, lambda obj: _algebra_from_obj(obj, typed))
+        algebra = _decoded(source, _algebra_from_obj)
     return _validated(algebra) if validate else algebra
 
 
@@ -257,17 +260,14 @@ def _algebra_from_obj(obj, typed: bool) -> FiniteDRL:
 
 def read_lattice(path: str | Path) -> np.ndarray:
     """Read an order table, bare or under "leq", from a JSON file; return it as bools."""
-    text = Path(path).read_text()
-    typed = _may_hold_booleans(text)
-
-    def build(obj) -> np.ndarray:
+    def build(obj, typed: bool) -> np.ndarray:
         if isinstance(obj, dict):
             obj = obj.get("leq")
         if not isinstance(obj, list):
             raise ParseError(f"{path} must hold an order table (or an object with 'leq')")
         return _table(obj, "leq", len(obj), typed)
 
-    return _decoded(text, build, f" in {path}")
+    return _decoded(Path(path).read_text(), build, f" in {path}")
 
 
 def read_algebra(path: str | Path) -> FiniteDRL:
@@ -301,12 +301,11 @@ def load_problem_raw(
 
     The algebra comes from the `algebra` argument when given, otherwise
     from the payload's "algebra" field (an inline object or a path to an
-    algebra file, resolved against `base_dir`). `text` is scanned once
-    for `true` and `false`; an inline algebra's tables and the constraint
-    tables get the exact type test only when it holds either.
+    algebra file, resolved against `base_dir`). An inline algebra's
+    tables and the constraint tables get the exact type test only when
+    `text` holds `true` or `false`.
     """
-    typed = _may_hold_booleans(text)
-    return _decoded(text, lambda obj: _problem_from_obj(obj, algebra, base_dir, typed))
+    return _decoded(text, lambda obj, typed: _problem_from_obj(obj, typed, algebra, base_dir))
 
 
 def _read_problem_raw_sharing(path: str | Path, known: FiniteDRL) -> RawProblem:
@@ -316,9 +315,9 @@ def _read_problem_raw_sharing(path: str | Path, known: FiniteDRL) -> RawProblem:
     so every result and refusal is that of `read_problem_raw`.
     """
     p = Path(path)
-    text = p.read_text()
-    typed = _may_hold_booleans(text)
-    return _decoded(text, lambda obj: _problem_from_obj(obj, None, p.parent, typed, known))
+    return _decoded(
+        p.read_text(), lambda obj, typed: _problem_from_obj(obj, typed, None, p.parent, known)
+    )
 
 
 def _values_outside(scope) -> ValueOutOfRange:
@@ -337,9 +336,9 @@ def _refuse_ids_past(constraints: list[Constraint], packed: list[bytes], size: i
 
 def _problem_from_obj(
     obj,
+    typed: bool,
     algebra: FiniteDRL | None,
     base_dir: str | Path | None,
-    typed: bool,
     known: FiniteDRL | None = None,
 ) -> RawProblem:
     """The problem `obj` describes, not yet normalized.
@@ -356,18 +355,16 @@ def _problem_from_obj(
         raise ParseError("problem payload must be an object")
 
     if algebra is None:
+        # What load_algebra takes: a path's file text (an absolute path
+        # ignores `base_dir`), or the inline object, a _BooleanFree if untyped.
         ref = obj.get("algebra")
         if isinstance(ref, str):
-            path = Path(ref)
-            if base_dir is not None and not path.is_absolute():
-                path = Path(base_dir) / path
-            algebra = _validated(load_algebra(path.read_text(), validate=False), known)
-        elif isinstance(ref, dict):
-            if not typed:
-                ref = _BooleanFree(ref)
-            algebra = _validated(load_algebra(ref, validate=False), known)
-        else:
+            ref = Path(base_dir or "", ref).read_text()
+        elif not isinstance(ref, dict):
             raise ParseError("'algebra' must be an inline object or a file path")
+        elif not typed:
+            ref = _BooleanFree(ref)
+        algebra = _validated(load_algebra(ref, validate=False), known)
 
     domains = obj.get("domains")
     if (

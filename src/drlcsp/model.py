@@ -86,6 +86,10 @@ def intp_array(values: list[int]) -> np.ndarray:
     return np.fromiter(values, np.intp, len(values))
 
 
+def _not_ids(scope) -> ValueError:
+    return ValueError(f"scope {scope} has values that are not element ids")
+
+
 def _packed_ids(scope, values) -> bytes:
     """The table `values` of `scope` as little-endian 16-bit element ids,
     packed by one struct call.
@@ -99,7 +103,7 @@ def _packed_ids(scope, values) -> bytes:
     try:
         return struct.pack(f"<{len(values)}H", *values)
     except struct.error:
-        raise ValueError(f"scope {scope} has values that are not element ids") from None
+        raise _not_ids(scope) from None
 
 
 def row_index(sizes: tuple[int, ...], pos: int, live: np.ndarray | None = None) -> np.ndarray:
@@ -135,23 +139,29 @@ def table_groups(problem: Problem, k: int) -> list[TableGroup]:
     """The stored scopes of arity 2..k, grouped by their `sizes`.
 
     Each table is packed to 16-bit ids with one struct call
-    (`_packed_ids`), and each group's packed tables are read with one
-    `np.frombuffer` into an `[m, prod(sizes)]` `intp` array; a value
-    that is not an element id below 2**16 raises ValueError naming its
-    scope. `all_top` is found with one row gather and reduction per
-    coordinate, so the cost per group does not grow with m in numpy
-    calls. Scopes keep the constraint store's order.
+    (`_packed_ids`), in store order, and each group's packed tables are
+    read with one `np.frombuffer`, range-tested with one `max` and
+    widened into an `[m, prod(sizes)]` `intp` array. A value that is not
+    an element id below the algebra's size raises ValueError naming the
+    first such scope in store order. `all_top` is found with one row
+    gather and reduction per coordinate, so the cost per group does not
+    grow with m in numpy calls. Scopes keep the constraint store's order.
     """
     by_sizes: dict[tuple[int, ...], list[Scope]] = {}
-    for scope in problem.constraints:
+    packed: dict[Scope, bytes] = {}
+    for scope, c in problem.constraints.items():
         if 2 <= len(scope) <= k:
             by_sizes.setdefault(scope_sizes(scope, problem.domain_sizes), []).append(scope)
-    top = problem.algebra.top
+            packed[scope] = _packed_ids(scope, c.values)
+    size, top = problem.algebra.size, problem.algebra.top
     groups = []
     for sizes, scopes in by_sizes.items():
         m, length = len(scopes), prod(sizes)
-        packed = b"".join([_packed_ids(s, problem.constraints[s].values) for s in scopes])
-        stack = np.frombuffer(packed, "<u2").astype(np.intp).reshape(m, length)
+        ids = np.frombuffer(b"".join([packed[s] for s in scopes]), "<u2")
+        if ids.max(initial=0) >= size:
+            raise _not_ids(next(s for s, p in packed.items()
+                                if np.frombuffer(p, "<u2").max(initial=0) >= size))
+        stack = ids.astype(np.intp).reshape(m, length)
         held = stack == top
         all_top = np.array([
             held.take(row_index(sizes, pos), axis=1).any(axis=2).all(axis=1) for pos in range(len(sizes))
@@ -215,20 +225,27 @@ def iter_constraints(problem: Problem | RawProblem) -> Iterator[Constraint]:
 
 
 def combined_value(problem: Problem | RawProblem, assignment: Assignment) -> int:
-    """Fold the combination product over every constraint's value at the tuple."""
+    """Fold the combination product over every constraint's value at the tuple.
+
+    ValueError is raised for an assignment outside the domains, and for
+    a value read that is not an element id, naming its scope.
+    """
     if len(assignment) != problem.n:
         raise ValueError("assignment must cover every variable")
     sizes = problem.domain_sizes
     # A negative value would index a table from its end.
     if any(not 0 <= v < size for v, size in zip(assignment, sizes)):
         raise ValueError("assignment has a value outside its variable's domain")
-    otimes = problem.algebra.otimes
+    otimes, ids = problem.algebra.otimes, problem.algebra.size
     acc = problem.algebra.top
     for c in iter_constraints(problem):
         index = 0
         for var in c.scope:
             index = index * sizes[var] + assignment[var]
-        acc = otimes[acc, c.values[index]]
+        value = c.values[index]
+        if not 0 <= value < ids:  # likewise a table value, which indexes otimes
+            raise _not_ids(c.scope)
+        acc = otimes[acc, value]
     return int(acc)
 
 

@@ -1004,6 +1004,25 @@ class TestFactsKept:
         # the kept facts that were False cover most kinds
         assert {"partial", "commutative", "residuation", "otimes_associative"} <= false_facts
 
+    def test_later_profiles_decide_from_the_kept_facts(self, monkeypatch):
+        # After a drl check, otimes-monotone follows from the kept partial,
+        # commutative and residuation facts, and join-associative from the
+        # partial and join-is-lub ones: no count product and no full gather.
+        algebras = list(drls(6)) + [d.direct_product(d.lukasiewicz_chain(6), d.godel_chain(6))]
+        assert len(algebras) == 42
+        for a in algebras:
+            assert d.check_axioms(a, "drl").ok, a.name
+
+        def refused(*args):
+            raise AssertionError("a law loop ran that the kept facts prove")
+
+        monkeypatch.setattr(algebra, "_count_product", refused)
+        monkeypatch.setattr(algebra, "_associative", refused)
+        for a in algebras:
+            for profile in ("derived", "cis-reduct"):
+                for (axiom, law), check in zip(algebra.PROFILES[profile], d.check_axioms(a, profile).checks):
+                    assert check.counterexample == _tensor_first_failure(a, law), (a.name, axiom)
+
 
 def _pinned_chains() -> list:
     """boolean, Goedel 2-12, Lukasiewicz 2-12 and weighted 1-12, in this order."""

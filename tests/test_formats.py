@@ -267,6 +267,58 @@ class TestOneArrayParse:
         assert str(info.value) == "'otimes' must be a 9x9 integer table"
 
 
+class TestSingleScan:
+    """The decode step scans each text it reads for JSON booleans once."""
+
+    @pytest.fixture()
+    def scanned(self, monkeypatch):
+        texts = []
+        scan = formats._may_hold_booleans
+        monkeypatch.setattr(formats, "_may_hold_booleans", lambda text: texts.append(text) or scan(text))
+        return texts
+
+    @pytest.fixture()
+    def files(self, tmp_path):
+        a = d.lukasiewicz_chain(3)
+        algebra_text, problem_text = d.save_algebra(a), d.save_problem(d.gen_random_problem(a, 3, 2, 5, 2, 4))
+        (tmp_path / "a.json").write_text(algebra_text)
+        (tmp_path / "p.json").write_text(problem_text)
+        return a, algebra_text, problem_text, tmp_path
+
+    def test_each_reader_scans_its_text_once(self, scanned, files):
+        a, algebra_text, problem_text, tmp_path = files
+        for text, read in (
+            (algebra_text, lambda: d.load_algebra(algebra_text)),
+            (algebra_text, lambda: d.read_algebra(tmp_path / "a.json")),
+            (algebra_text, lambda: formats.read_lattice(tmp_path / "a.json")),
+            (problem_text, lambda: d.load_problem_raw(problem_text)),
+            (problem_text, lambda: d.read_problem_raw(tmp_path / "p.json")),
+            (problem_text, lambda: formats._read_problem_raw_sharing(tmp_path / "p.json", a)),
+        ):
+            scanned.clear()
+            read()
+            assert scanned == [text]
+
+    def test_a_problem_naming_its_algebra_scans_both_texts_once(self, scanned, files):
+        a, algebra_text, problem_text, tmp_path = files
+        obj = json.loads(problem_text)
+        obj["algebra"] = "a.json"
+        by_path = json.dumps(obj)
+        assert d.load_problem_raw(by_path, base_dir=tmp_path).algebra == a
+        assert scanned == [by_path, algebra_text]
+
+    def test_a_refused_text_is_scanned_once_across_the_json_retry(self, scanned, files, monkeypatch):
+        obj = json.loads(files[2])
+        obj["constraints"][0]["values"][0] = 10**19  # 20 digits, so json decodes it again
+        text = json.dumps(obj)
+        decodes = []
+        loads = json.loads
+        monkeypatch.setattr(formats.json, "loads", lambda s: decodes.append(s) or loads(s))
+        with pytest.raises(d.ValueOutOfRange):
+            d.load_problem_raw(text)
+        assert decodes == [text] and scanned == [text]
+
+
 def _reference_load(text: str) -> d.FiniteDRL | None:
     """The derive-and-compare load that the single law check replaced.
 
@@ -1012,7 +1064,7 @@ class TestDeepNesting:
         depths = []
 
         def decode():
-            obj, level = formats._decoded(text, lambda obj: obj), 0
+            obj, level = formats._decoded(text, lambda obj, typed: obj), 0
             while obj != 0:
                 obj, level = (obj[0] if isinstance(obj, list) else obj["a"]), level + 1
             depths.append(level)

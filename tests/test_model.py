@@ -129,6 +129,15 @@ class TestCombinedValue:
         with pytest.raises(ValueError, match="outside its variable's domain"):
             d.combined_value(p, assignment)
 
+    @pytest.mark.parametrize("bad", [-1, 5, 65535])
+    def test_table_value_that_is_not_an_element_id_rejected_when_read(self, w4, bad):
+        # otimes[0, -1] would read otimes[0, 4], the last entry of its row.
+        raw = d.RawProblem(w4, (2, 2), [d.Constraint((0, 1), [0, bad, 1, 2])])
+        assert d.combined_value(raw, (0, 0)) == 0
+        with pytest.raises(ValueError) as info:
+            d.combined_value(raw, (0, 1))
+        assert str(info.value) == "scope (0, 1) has values that are not element ids"
+
 
 class TestRowIndex:
     @pytest.mark.parametrize("sizes", [(1, 3), (3, 1), (1, 1), (2, 3), (2, 1, 3), (3, 2, 2), (1, 2, 1, 3)])
@@ -196,9 +205,10 @@ class TestTableGroups:
                     assert group.stack.dtype == np.intp and group.stack.flags.writeable
                     assert np.array_equal(group.stack, reference)
 
-    @pytest.mark.parametrize("bad", [1.5, -1, 65536])
+    @pytest.mark.parametrize("bad", [1.5, -1, 65536, 5, 7, 65535])
     def test_values_that_are_not_element_ids_are_refused(self, w4, bad):
-        # np.fromiter would read 1.5 as 1 and -1 as an index from the end.
+        # np.fromiter would read 1.5 as 1 and -1 as an index from the end;
+        # ids from the carrier's size up to 2**16 pack, but index past otimes.
         p = d.Problem(w4, (2, 2), {
             (0,): d.Constraint((0,), [0, 0]),
             (1,): d.Constraint((1,), [0, 0]),
@@ -209,6 +219,21 @@ class TestTableGroups:
             with pytest.raises(ValueError) as info:
                 run()
             assert str(info.value) == "scope (0, 1) has values that are not element ids"
+
+    def test_the_first_refused_scope_in_store_order_is_named(self, w4):
+        # (0, 1) and (0, 3) share a group, which comes first, but (0, 2),
+        # stored between them, is the first with an id past the carrier.
+        p = d.Problem(w4, (2, 2, 3, 2), {
+            **{(v,): d.Constraint((v,), [0] * size) for v, size in enumerate((2, 2, 3, 2))},
+            (0, 1): d.Constraint((0, 1), [0, 1, 2, 3]),
+            (0, 2): d.Constraint((0, 2), [0, 1, 2, 3, 9, 4]),
+            (0, 3): d.Constraint((0, 3), [0, 7, 2, 3]),
+        })
+        for run in (lambda: table_groups(p, 2), lambda: d.enforce_k_hyperarc(p, 2),
+                    lambda: d.is_k_hyperarc_consistent(p, 2)):
+            with pytest.raises(ValueError) as info:
+                run()
+            assert str(info.value) == "scope (0, 2) has values that are not element ids"
 
 
 class TestConsistencyPredicate:
