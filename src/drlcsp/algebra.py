@@ -21,41 +21,38 @@ keeps its own gather's. The order and lattice proofs of
 `derive_lattice` are not kept, since no workload loads a file without a
 lattice.
 
-The law check decides most laws on whole tables, from facts that one
-check computes at most once each, on first use. The boolean facts
-(transitivity, the partial-order test, the glb and lub decisions,
-commutativity, residuation and associativity of the product) are kept
-with the algebra, whose tables are read-only, and later checks of it
-read them; the n x n arrays behind them are rebuilt. One count product
-`between = L @ L` gives transitivity, the partial-order test and the
-covering pairs; reflexivity, antisymmetry and the bounds read the
-diagonal, that test, one row or one column. Meets and joins are
-decided by counting common bounds, on a transitive order; monotonicity
-from residuation and commutativity on a partial order (residuation
-gives y <= z -> (z*y), so x <= y gives z*x <= z*y), else on the
-covering pairs of a partial order; distributivity over joins from
+The law check decides most laws on whole tables, each from a premise
+that every DRL meets, read off facts that one check computes at most
+once each, on first use. The boolean facts (the partial-order test,
+the glb and lub decisions, commutativity, residuation and
+associativity of the product) are kept with the algebra, whose tables
+are read-only, and later checks of it read them; the n x n arrays
+behind them are rebuilt. One count product `between = L @ L` gives
+the partial-order test and the covering pairs; reflexivity,
+antisymmetry, transitivity and the bounds read the diagonal, that
+test, one row or one column. Meets and joins are decided by counting
+common bounds, on a partial order; monotonicity from residuation and
+commutativity on a partial order (residuation gives y <= z -> (z*y),
+so x <= y gives z*x <= z*y); distributivity over joins from
 residuation on a partial order; `join`'s associativity from `join`
-giving the lubs of a partial order, else by row gathers, as for
-residuation. After a `drl` check, whose kept facts hold these
-premises, the other profiles of a DRL run no count product and no
-full associativity gather. Associativity of the product is checked
-on the join-irreducibles J alone (the elements with exactly one lower
-cover) when the order is partial, `bottom` is least, `join` gives the
-lubs, the product commutes and residuation holds: x * _ is then a left
+giving the lubs of a partial order. After a `drl` check, whose kept
+facts hold these premises, the other profiles of a DRL run no count
+product. Associativity of the product is checked on the
+join-irreducibles J alone (the elements with exactly one lower cover)
+when the order is partial, `bottom` is least, `join` gives the lubs,
+the product commutes and residuation holds: x * _ is then a left
 adjoint, so it preserves every join, the empty one included, and so
 does _ * x; both sides of the law preserve joins in each argument, and
-every element is the join of the members of J below it. Otherwise the
-whole carrier is gathered. The residuum exchange law follows for
-y <= z from associativity, divisibility and z meet y = y, as
-(x*z)*(z->y) = x*(z*(z->y)) = x*(z meet y) = x*y; otherwise it is
-gathered one z at a time.
+every element is the join of the members of J below it. The residuum
+exchange law follows for y <= z from associativity, divisibility and
+z meet y = y, as (x*z)*(z->y) = x*(z*(z->y)) = x*(z meet y) = x*y.
 Each of these returns True only when its law holds at every point.
-Every other law, and a law that its decision does not confirm, goes to
-the blocked evaluator, which visits all size**3 points in blocks of
+Every other law, and a law whose premise fails, goes to the blocked
+evaluator, which visits all size**3 points in blocks of
 max(1, 2**18 // size**2) leading x values and returns the
-lexicographically least failing point; it runs in full only to locate a
-witness or to decide a law on a table that is not a partial order. No
-temporary array exceeds max(2**18, size**2) entries.
+lexicographically least failing point; on a DRL it runs in full only
+for the laws without a decision. No temporary array exceeds
+max(2**18, size**2) entries.
 """
 
 from __future__ import annotations
@@ -343,10 +340,10 @@ def _law_otimes_idempotent(a, x, y, z):
 
 
 # ---------------------------------------------------------------------------
-# Whole-table decisions. Each returns True only when its law holds at every
-# point, and False whenever it fails; a decision that needs a partial (or
-# transitive) order also returns False without one. A False sends the law to
-# the blocked evaluator, which finds the verdict and the witness.
+# Whole-table decisions. Each confirms its law from a premise that every DRL
+# meets, and returns True only when the law holds at every point; every
+# decision that reads the order needs a partial order. A False only says the
+# premise failed: the blocked evaluator then finds the verdict and the witness.
 
 
 def _count_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -357,10 +354,6 @@ def _count_product(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     for any carrier whose tables fit in memory.
     """
     return A.astype(np.float32) @ B.astype(np.float32)
-
-
-def _transitive(L: np.ndarray, between: np.ndarray) -> bool:
-    return not (~L & (between > 0)).any()
 
 
 def _common_bounds(L: np.ndarray, lower: bool) -> np.ndarray:
@@ -381,7 +374,7 @@ def _order_defect(L: np.ndarray, between: np.ndarray | None = None) -> str | Non
         between = _count_product(L, L)
     if (between.diagonal() != 1).any():
         return "antisymmetric"
-    if not _transitive(L, between):
+    if (~L & (between > 0)).any():
         return "transitive"
     return None
 
@@ -390,11 +383,14 @@ class _Facts:
     """The whole-table facts that the decisions of one law check share.
 
     Each is computed at most once, and only when some decision reads it.
-    A `FiniteDRL`'s tables are read-only, so `check_axioms` keeps every
-    boolean fact with it, and they seed every later check of it:
-    validating an algebra on load and then checking the `derived` profile
-    runs the residuation gather once. The n x n arrays `between` and
-    `covers` (64 MB for `between` at carrier 4096) live for one check.
+    A True fact holds at every point; a False one means only that its
+    premise did not prove it, and no code reads a False fact as a
+    refutation. A `FiniteDRL`'s tables are read-only, so `check_axioms`
+    keeps every boolean fact with it, and they seed every later check of
+    it: validating an algebra on load and then checking the `derived`
+    profile runs the residuation gather once. The n x n arrays `between`
+    and `covers` (64 MB for `between` at carrier 4096) live for one
+    check.
     """
 
     def __init__(self, a: FiniteDRL):
@@ -407,10 +403,6 @@ class _Facts:
         return _count_product(self.a.leq, self.a.leq)
 
     @cached_property
-    def transitive(self) -> bool:
-        return _transitive(self.a.leq, self.between)
-
-    @cached_property
     def partial(self) -> bool:
         return _order_defect(self.a.leq, self.between) is None
 
@@ -420,7 +412,7 @@ class _Facts:
         # them, and nothing else exactly when y covers x.
         return self.between == 2
 
-    # With m = x meet y below both x and y and the order transitive, every
+    # With m = x meet y below both x and y and the order partial, every
     # element below m is a common lower bound; so all common lower bounds are
     # below m exactly when there are as many of them as elements below m.
     # Joins dually.
@@ -428,13 +420,13 @@ class _Facts:
     @cached_property
     def meet_is_glb(self) -> bool:
         L, M, ids = self.a.leq, self.a.meet, np.arange(self.a.size)
-        return bool(L[M, ids[:, None]].all() and L[M, ids].all() and self.transitive
+        return bool(L[M, ids[:, None]].all() and L[M, ids].all() and self.partial
                     and (_common_bounds(L, lower=True) == L.sum(axis=0)[M]).all())
 
     @cached_property
     def join_is_lub(self) -> bool:
         L, J, ids = self.a.leq, self.a.join, np.arange(self.a.size)
-        return bool(L[ids[:, None], J].all() and L[ids, J].all() and self.transitive
+        return bool(L[ids[:, None], J].all() and L[ids, J].all() and self.partial
                     and (_common_bounds(L, lower=False) == L.sum(axis=1)[J]).all())
 
     @cached_property
@@ -455,10 +447,9 @@ class _Facts:
         # the join-irreducibles below it (those with exactly one lower
         # cover), so the law holds when it holds on those alone.
         a = self.a
-        if (self.partial and a.leq[a.bottom].all() and self.commutative and self.join_is_lub
-                and self.residuation):
-            return _associative_on(a.otimes, np.flatnonzero(self.covers.sum(axis=0) == 1))
-        return _associative(a.otimes)
+        return bool(self.partial and a.leq[a.bottom].all() and self.commutative and self.join_is_lub
+                    and self.residuation
+                    and _associative_on(a.otimes, np.flatnonzero(self.covers.sum(axis=0) == 1)))
 
 
 def _residuated(L: np.ndarray, O: np.ndarray, R: np.ndarray) -> bool:
@@ -481,8 +472,7 @@ def _narrow(T: np.ndarray) -> np.ndarray:
 
 
 def _associative_on(T: np.ndarray, J) -> bool:
-    """Whether (x*y)*z == x*(y*z) for all x, y, z in J, an array of ids or
-    a slice (a slice takes views, not copies, of the tables)."""
+    """Whether (x*y)*z == x*(y*z) for all x, y, z in J, an array of ids."""
     values = _narrow(T)
     TJ, left, right = T[J][:, J], values[:, J], values[J]  # TJ[y, z]: y * z
     block = _block_rows(len(TJ) or 1)
@@ -493,68 +483,37 @@ def _associative_on(T: np.ndarray, J) -> bool:
     return True
 
 
-def _associative(T: np.ndarray) -> bool:
-    return _associative_on(T, slice(None))
-
-
 def _decide_otimes_monotone(f: _Facts) -> bool:
     # Residuation gives y <= z -> (z*y), so on a partial order x <= y gives
-    # z*x <= z*y, and x*z <= y*z when the product commutes. Otherwise, in
-    # a finite partial order every x < y is a chain of covers (pairs with
-    # nothing strictly between), so the covering pairs suffice.
-    if not f.partial:
-        return False
-    if f.commutative and f.residuation:
-        return True
-    L, O = f.a.leq, f.a.otimes
-    xs, ys = np.nonzero(f.covers)
-    step = max(1, _POINT_BUDGET // f.a.size)
-    return all(L[O[xs[i:i + step]], O[ys[i:i + step]]].all() for i in range(0, len(xs), step))
+    # z*x <= z*y, and x*z <= y*z when the product commutes.
+    return f.partial and f.commutative and f.residuation
 
 
 def _decide_otimes_distributes_join(f: _Facts) -> bool:
     # When residuation holds on a partial order whose joins `join` gives,
-    # x * _ has the upper adjoint x -> _ and so preserves joins. Otherwise
-    # compare x * (y v z) with (x*y) v (x*z) one x at a time.
-    if f.partial and f.join_is_lub and f.residuation:
-        return True
-    J = f.a.join
-    return all(np.array_equal(row[J], J[row][:, row]) for row in f.a.otimes)
+    # x * _ has the upper adjoint x -> _ and so preserves joins.
+    return f.partial and f.join_is_lub and f.residuation
 
 
 def _decide_join_associative(f: _Facts) -> bool:
     # Binary lubs in a partial order are associative: both sides are the lub
     # of {x, y, z}.
-    return (f.partial and f.join_is_lub) or _associative(f.a.join)
+    return f.partial and f.join_is_lub
 
 
 def _decide_residuum_exchange(f: _Facts) -> bool:
     # For y <= z: (x*z)*(z->y) = x*(z*(z->y)) = x*(z meet y) = x*y, by
-    # associativity, divisibility and z meet y = y. Otherwise compare the two
-    # sides one z at a time.
+    # associativity, divisibility and z meet y = y.
     a = f.a
     M, ids = a.meet, np.arange(a.size)
-    if (f.otimes_associative and np.array_equal(M, a.otimes[ids[:, None], a.residuum])
-            and (M.T == ids[:, None])[a.leq].all()):
-        return True
-    return _exchange_per_z(a)
-
-
-def _exchange_per_z(a) -> bool:
-    O, R = a.otimes, a.residuum
-    values = _narrow(O)
-    for z in range(a.size):
-        ys = np.flatnonzero(a.leq[:, z])  # y <= z
-        # [x, y]: (x*z)*(z->y) and x*y
-        if not np.array_equal(values[O[:, z]][:, R[z, ys]], values[:, ys]):
-            return False
-    return True
+    return bool(f.otimes_associative and np.array_equal(M, a.otimes[ids[:, None], a.residuum])
+                and (M.T == ids[:, None])[a.leq].all())
 
 
 _DECISIONS: dict[Callable, Callable[[_Facts], bool]] = {
     _law_leq_reflexive: lambda f: bool(f.a.leq.diagonal().all()),
     _law_leq_antisymmetric: lambda f: f.partial,
-    _law_leq_transitive: lambda f: f.transitive,
+    _law_leq_transitive: lambda f: f.partial,
     _law_bottom_least: lambda f: bool(f.a.leq[f.a.bottom].all()),
     _law_top_greatest: lambda f: bool(f.a.leq[:, f.a.top].all()),
     _law_meet_is_glb: lambda f: f.meet_is_glb,

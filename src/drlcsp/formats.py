@@ -29,7 +29,16 @@ from .errors import (
     TooLarge,
     ValueOutOfRange,
 )
-from .model import Constraint, Problem, RawProblem, _packed_ids, iter_constraints, normalize, table_len
+from .model import (
+    Constraint,
+    Problem,
+    RawProblem,
+    _first_past,
+    _packed_ids,
+    iter_constraints,
+    normalize,
+    table_len,
+)
 from .rng import SplitMix64, check_seed
 
 MAX_TABLE_ENTRIES = 1_000_000
@@ -327,10 +336,8 @@ def _values_outside(scope) -> ValueOutOfRange:
 def _refuse_ids_past(constraints: list[Constraint], packed: list[bytes], size: int) -> None:
     """Refuse the first of `constraints` whose table, packed in `packed`,
     holds an id >= `size`; one range test covers every table."""
-    ids = np.frombuffer(b"".join(packed), "<u2")
-    if ids.size and ids.max() >= size:
-        ends = np.cumsum([len(p) // 2 for p in packed])
-        first = int(np.searchsorted(ends, np.argmax(ids >= size), side="right"))
+    first = _first_past(packed, size)
+    if first is not None:
         raise _values_outside(constraints[first].scope) from None
 
 

@@ -17,7 +17,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .algebra import FiniteDRL
+from .algebra import FiniteDRL, _in_carrier
 
 Scope = tuple[int, ...]
 Assignment = tuple[int, ...]
@@ -106,6 +106,22 @@ def _packed_ids(scope, values) -> bytes:
         raise _not_ids(scope) from None
 
 
+def _first_past(packed: list[bytes], size: int) -> int | None:
+    """The index of the first of the packed tables (`_packed_ids`) that
+    holds an id >= `size`, or None; one range test covers every table."""
+    ids = np.frombuffer(b"".join(packed), "<u2")
+    if ids.max(initial=0) < size:
+        return None
+    ends = np.cumsum([len(p) // 2 for p in packed])
+    return int(np.searchsorted(ends, np.argmax(ids >= size), side="right"))
+
+
+def _refuse_past(packed: dict[Scope, bytes], size: int) -> None:
+    first = _first_past(list(packed.values()), size)
+    if first is not None:
+        raise _not_ids(list(packed)[first])
+
+
 def row_index(sizes: tuple[int, ...], pos: int, live: np.ndarray | None = None) -> np.ndarray:
     """Flat row-major positions of a table of `sizes`, one row per value of
     coordinate `pos` in the canonical order of the other coordinates, and
@@ -138,29 +154,33 @@ class TableGroup:
 def table_groups(problem: Problem, k: int) -> list[TableGroup]:
     """The stored scopes of arity 2..k, grouped by their `sizes`.
 
-    Each table is packed to 16-bit ids with one struct call
-    (`_packed_ids`), in store order, and each group's packed tables are
-    read with one `np.frombuffer`, range-tested with one `max` and
-    widened into an `[m, prod(sizes)]` `intp` array. A value that is not
-    an element id below the algebra's size raises ValueError naming the
-    first such scope in store order. `all_top` is found with one row
-    gather and reduction per coordinate, so the cost per group does not
-    grow with m in numpy calls. Scopes keep the constraint store's order.
+    Each of these tables and each unary table is packed to 16-bit ids
+    with one struct call (`_packed_ids`), in store order, and all of them
+    are range-tested with one `max`; a value that is not an element id
+    below the algebra's size raises ValueError naming the first such
+    scope in store order. Each group's packed tables are then read with
+    one `np.frombuffer` and widened into an `[m, prod(sizes)]` `intp`
+    array. `all_top` is found with one row gather and reduction per
+    coordinate, so the cost per group does not grow with m in numpy
+    calls. Scopes keep the constraint store's order.
     """
     by_sizes: dict[tuple[int, ...], list[Scope]] = {}
     packed: dict[Scope, bytes] = {}
-    for scope, c in problem.constraints.items():
-        if 2 <= len(scope) <= k:
-            by_sizes.setdefault(scope_sizes(scope, problem.domain_sizes), []).append(scope)
-            packed[scope] = _packed_ids(scope, c.values)
     size, top = problem.algebra.size, problem.algebra.top
+    try:
+        for scope, c in problem.constraints.items():
+            if 1 <= len(scope) <= k:
+                packed[scope] = _packed_ids(scope, c.values)
+                if len(scope) > 1:
+                    by_sizes.setdefault(scope_sizes(scope, problem.domain_sizes), []).append(scope)
+    except ValueError:
+        _refuse_past(packed, size)  # an earlier table past the carrier is named first
+        raise
+    _refuse_past(packed, size)
     groups = []
     for sizes, scopes in by_sizes.items():
         m, length = len(scopes), prod(sizes)
         ids = np.frombuffer(b"".join([packed[s] for s in scopes]), "<u2")
-        if ids.max(initial=0) >= size:
-            raise _not_ids(next(s for s, p in packed.items()
-                                if np.frombuffer(p, "<u2").max(initial=0) >= size))
         stack = ids.astype(np.intp).reshape(m, length)
         held = stack == top
         all_top = np.array([
@@ -181,13 +201,21 @@ def normalize(problem: RawProblem) -> Problem | None:
     missing unary constraints are added as constant top, and domain
     values whose unary value is bottom are removed (all tables are
     re-projected onto the surviving values). Returns None when a domain
-    empties, which makes the instance unsatisfiable outright.
+    empties, which makes the instance unsatisfiable outright. A merged
+    table holding a value that is not an element id raises ValueError
+    naming its scope.
     """
     alg = problem.algebra
     merged: dict[Scope, list[int]] = {}
     for c in problem.constraints:
         prior = merged.get(c.scope)
-        merged[c.scope] = list(c.values) if prior is None else alg.otimes[prior, c.values].tolist()
+        if prior is None:
+            merged[c.scope] = list(c.values)
+            continue
+        pair = np.array((prior, c.values))
+        if not _in_carrier(pair, alg.size):  # a negative id would read otimes from its end
+            raise _not_ids(c.scope)
+        merged[c.scope] = alg.otimes[pair[0], pair[1]].tolist()
 
     sizes = problem.domain_sizes
     for var, size in enumerate(sizes):

@@ -35,7 +35,7 @@ import numpy as np
 
 from .algebra import FiniteDRL
 from .errors import ShapeMismatch, TooLarge
-from .model import Assignment, Problem, RawProblem, iter_constraints
+from .model import Assignment, Problem, RawProblem, _not_ids, iter_constraints
 
 DEFAULT_TUPLE_CAP = 1_000_000
 
@@ -78,7 +78,11 @@ def _check_size(domain_sizes: tuple[int, ...]) -> None:
 
 
 def _values(problem: Problem | RawProblem) -> np.ndarray:
-    """Combined values of all full assignments, in canonical row-major order."""
+    """Combined values of all full assignments, in canonical row-major order.
+
+    A table holding a value that is not an element id raises ValueError
+    naming the first such scope in store order.
+    """
     alg = problem.algebra
     # A variable with one value gets no axis: its coordinate is always 0, so
     # every table keeps its row-major layout without it. With no axis left
@@ -88,13 +92,27 @@ def _values(problem: Problem | RawProblem) -> np.ndarray:
         if size != 1:
             axis[v] = len(axis)
     sizes = [problem.domain_sizes[v] for v in axis]
-    acc = np.intp(alg.top)
-    for c in sorted(iter_constraints(problem), key=lambda c: c.scope[-1:]):
+    constraints = sorted(iter_constraints(problem), key=lambda c: c.scope[-1:])
+
+    def past(values: np.ndarray) -> bool:
+        # Read unsigned, a negative id, which would read otimes from its end,
+        # is past the carrier too.
+        return values.view(np.uintp).max(initial=0) >= alg.size
+
+    # Every table's values in one array, range-tested once.
+    flat = np.fromiter(itertools.chain.from_iterable(c.values for c in constraints), np.intp)
+    if past(flat):
+        store = problem.constraints
+        raise _not_ids(next(c.scope for c in (store.values() if isinstance(store, dict) else store)
+                            if past(np.fromiter(c.values, np.intp))))
+    acc, start = np.intp(alg.top), 0
+    for c in constraints:
         shape = [1] * len(sizes)
         for v in c.scope:
             if v in axis:
                 shape[axis[v]] = sizes[axis[v]]
-        acc = alg.otimes[acc, np.array(c.values, dtype=np.intp).reshape(shape)]
+        table, start = flat[start:start + len(c.values)], start + len(c.values)
+        acc = alg.otimes[acc, table.reshape(shape)]
     out = np.empty(sizes, dtype=np.intp)
     out[...] = acc
     return out.ravel()

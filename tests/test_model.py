@@ -25,6 +25,16 @@ class TestNormalize:
         ])
         assert d.normalize(raw).unary(0).values == [1, 2]
 
+    @pytest.mark.parametrize("first", [True, False])
+    @pytest.mark.parametrize("bad", [-1, 5, 7, 65535])
+    def test_merged_values_that_are_not_element_ids_are_refused(self, w4, bad, first):
+        # otimes[0, -1] would read otimes[0, 4]; 5 and above index past the row.
+        tables = [d.Constraint((0, 1), [0, bad, 1, 2]), d.Constraint((0, 1), [0, 0, 0, 0])]
+        raw = d.RawProblem(w4, (2, 2), tables if first else tables[::-1])
+        with pytest.raises(ValueError) as info:
+            d.normalize(raw)
+        assert str(info.value) == "scope (0, 1) has values that are not element ids"
+
     def test_missing_unary_filled_with_top(self, w10):
         raw = d.RawProblem(w10, (2, 3), [d.Constraint((0,), [1, 2])])
         p = d.normalize(raw)
@@ -213,6 +223,36 @@ class TestTableGroups:
             (0,): d.Constraint((0,), [0, 0]),
             (1,): d.Constraint((1,), [0, 0]),
             (0, 1): d.Constraint((0, 1), [0, 1, bad, 2]),
+        })
+        for run in (lambda: table_groups(p, 2), lambda: d.enforce_k_hyperarc(p, 2),
+                    lambda: d.is_k_hyperarc_consistent(p, 2)):
+            with pytest.raises(ValueError) as info:
+                run()
+            assert str(info.value) == "scope (0, 1) has values that are not element ids"
+
+    @pytest.mark.parametrize("table", [[0, 1, 2, 0], [1, 2, 3, 1]])
+    @pytest.mark.parametrize("bad", [-1, 5, 7, 65535])
+    def test_unary_values_that_are_not_element_ids_are_refused(self, w4, bad, table):
+        # Every row of the first table holds top, so no projection or witness
+        # test reads the unary table; with the second, -1 would be read as 4.
+        p = d.Problem(w4, (2, 2), {
+            (0,): d.Constraint((0,), [0, bad]),
+            (1,): d.Constraint((1,), [0, 0]),
+            (0, 1): d.Constraint((0, 1), table),
+        })
+        for run in (lambda: table_groups(p, 2), lambda: d.enforce_k_hyperarc(p, 2),
+                    lambda: d.is_k_hyperarc_consistent(p, 2)):
+            with pytest.raises(ValueError) as info:
+                run()
+            assert str(info.value) == "scope (0,) has values that are not element ids"
+
+    @pytest.mark.parametrize("bad", [-1, 1.5, 7])
+    def test_a_table_past_the_carrier_is_named_before_a_later_unary_one(self, w4, bad):
+        # -1 and 1.5 fail to pack, 7 packs; (0, 1), stored first, is named.
+        p = d.Problem(w4, (2, 2), {
+            (0, 1): d.Constraint((0, 1), [0, 1, 9, 0]),
+            (0,): d.Constraint((0,), [0, 0]),
+            (1,): d.Constraint((1,), [bad, 0]),
         })
         for run in (lambda: table_groups(p, 2), lambda: d.enforce_k_hyperarc(p, 2),
                     lambda: d.is_k_hyperarc_consistent(p, 2)):

@@ -104,6 +104,23 @@ class TestBruteForceSolve:
             assert len(d.brute_force_solve(p).optimal_values) == 1
 
 
+    @pytest.mark.parametrize("bad", [-1, 5, 7, 65535])
+    def test_values_that_are_not_element_ids_are_refused(self, w4, bad):
+        # otimes[·, -1] would read bottom; 5 and above index past the row.
+        # The fold takes (0, 1) before (1,), but (1,) is stored first.
+        raw = d.RawProblem(w4, (2, 2), [
+            d.Constraint((1,), [0, bad]),
+            d.Constraint((0,), [0, 0]),
+            d.Constraint((0, 1), [0, 1, 2, bad]),
+        ])
+        problem = d.Problem(w4, (2, 2), {c.scope: c for c in raw.constraints})
+        for p in (raw, problem):
+            for run in (lambda: d.brute_force_solve(p), lambda: d.check_equivalent(p, p)):
+                with pytest.raises(ValueError) as info:
+                    run()
+                assert str(info.value) == "scope (1,) has values that are not element ids"
+
+
 class TestCheckEquivalent:
     def test_reflexive(self, weighted_example):
         assert d.check_equivalent(weighted_example, weighted_example) is None
