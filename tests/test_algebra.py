@@ -835,9 +835,34 @@ def _non_associative_products(leq):
     return [(meet, join, top, bottom, otimes) for otimes in full[keep & ~associative]]
 
 
+def _evaluate_undecided_only(monkeypatch):
+    """Refuse the blocked evaluator for any law with a whole-table decision."""
+    evaluate = algebra._first_failure
+
+    def undecided_only(a, law):
+        assert law not in algebra._DECISIONS, law.__name__
+        return evaluate(a, law)
+
+    monkeypatch.setattr(algebra, "_first_failure", undecided_only)
+
+
 class TestJoinIrreduciblePath:
     """`otimes-associative` on the join-irreducibles, and `residuum-exchange`
     from associativity, divisibility and the meet."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: d.direct_product(d.lukasiewicz_chain(6), d.godel_chain(6)),
+        lambda: d.direct_product(d.heyting_from_lattice(_grid(2, 3)),
+                                 d.heyting_from_lattice(_grid(3, 3, new_top=True))),
+        lambda: d.direct_product(d.boolean(), d.heyting_from_lattice(DIAMOND)),
+    ], ids=["luk6xgodel6", "grid-x-grid", "boolean-x-diamond"])
+    def test_laws_confirmed_without_the_full_gathers(self, make, monkeypatch):
+        # Each decided law is confirmed from its premise; no law with a
+        # decision reaches the blocked evaluator.
+        a = make()
+        _evaluate_undecided_only(monkeypatch)
+        for profile in ("drl", "derived"):
+            assert d.check_axioms(a, profile).ok, profile
 
     def test_drls_decided_by_their_premises(self, monkeypatch):
         # Every DRL meets each decision's premise, so in either profile order
@@ -850,13 +875,7 @@ class TestJoinIrreduciblePath:
             d.direct_product(d.lukasiewicz_chain(16), d.godel_chain(16)),
         ]
         assert len(algebras) == 45
-        evaluate = algebra._first_failure
-
-        def undecided_only(a, law):
-            assert law not in algebra._DECISIONS, law.__name__
-            return evaluate(a, law)
-
-        monkeypatch.setattr(algebra, "_first_failure", undecided_only)
+        _evaluate_undecided_only(monkeypatch)
         for a in algebras:
             for order in (("drl", "derived", "cis-reduct"), ("cis-reduct", "derived", "drl")):
                 fresh = dataclasses.replace(a)
