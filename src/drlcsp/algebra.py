@@ -10,28 +10,30 @@ algebras over finite distributive lattices, and direct products. The
 residuum table is never taken on trust: it is derived from the order
 and the product as x -> y = the greatest z with x * z <= y, taken as the
 admitted z of highest linear-extension rank (one row gather per x), and
-validated by the row gathers of the law checker's `residuation` fact;
-the blocked evaluator runs only to find a failing triple. Heyting
-distributivity is decided by that validation too: a finite lattice is
-distributive exactly when its meet has a residuum. An algebra keeps
-that proof as its `residuation` fact. The chains, the weighted chains
-and every loaded algebra are built by one completion step, `_completed`,
-which keeps it when it derived the residuum; `heyting_from_lattice`
-keeps its own gather's. The order and lattice proofs of
-`derive_lattice` are not kept, since no workload loads a file without a
-lattice.
+validated by the law checker's residuation decision, the Galois
+connection x * _ -| x -> _ decided on a partial order in O(n**2 + n *
+|covers|) (`_residuated`); the blocked evaluator runs on another order
+and to find a failing triple. Heyting distributivity is decided that
+way too: a finite lattice is distributive exactly when its meet has a
+residuum. An algebra keeps that proof as its `residuation` fact. The
+chains, the weighted chains and every loaded algebra are built by one
+completion step, `_completed`, which keeps it when it derived the
+residuum; `heyting_from_lattice` keeps its own. The order and lattice
+proofs of `derive_lattice` are not kept, since no workload loads a file
+without a lattice.
 
 The law check decides most laws on whole tables, each from a premise
 that every DRL meets, read off facts that one check computes at most
 once each, on first use. The boolean facts (the partial-order test,
-the glb and lub decisions, commutativity, residuation and
+the glb and lub decisions, commutativity, residuation, divisibility and
 associativity of the product) are kept with the algebra, whose tables
 are read-only, and later checks of it read them; the n x n arrays
 behind them are rebuilt. One count product `between = L @ L` gives
 the partial-order test and the covering pairs; reflexivity,
 antisymmetry, transitivity and the bounds read the diagonal, that
-test, one row or one column. Meets and joins are decided by counting
-common bounds, on a partial order; monotonicity from residuation and
+test, one row or one column; the identity and divisibility laws read
+the tables. Meets and joins are decided by counting common bounds, on
+a partial order; monotonicity from residuation and
 commutativity on a partial order (residuation gives y <= z -> (z*y),
 so x <= y gives z*x <= z*y); distributivity over joins from
 residuation on a partial order; `join`'s associativity from `join`
@@ -50,8 +52,8 @@ Each of these returns True only when its law holds at every point.
 Every other law, and a law whose premise fails, goes to the blocked
 evaluator, which visits all size**3 points in blocks of
 max(1, 2**18 // size**2) leading x values and returns the
-lexicographically least failing point; on a DRL it runs in full only
-for the laws without a decision. No temporary array exceeds
+lexicographically least failing point. Every `drl` law has a decision,
+so a `drl` check of a DRL runs no evaluator. No temporary array exceeds
 max(2**18, size**2) entries.
 """
 
@@ -388,9 +390,10 @@ class _Facts:
     refutation. A `FiniteDRL`'s tables are read-only, so `check_axioms`
     keeps every boolean fact with it, and they seed every later check of
     it: validating an algebra on load and then checking the `derived`
-    profile runs the residuation gather once. The n x n arrays `between`
-    and `covers` (64 MB for `between` at carrier 4096) live for one
-    check.
+    profile runs the residuation decision once. `residuation` holds only
+    on a partial order, where `_residuated` decides it; the evaluator
+    decides the law on another. The n x n arrays `between` and `covers`
+    (64 MB for `between` at carrier 4096) live for one check.
     """
 
     def __init__(self, a: FiniteDRL):
@@ -435,7 +438,12 @@ class _Facts:
 
     @cached_property
     def residuation(self) -> bool:
-        return _residuated(self.a.leq, self.a.otimes, self.a.residuum)
+        return self.partial and _residuated(self.a.leq, self.a.otimes, self.a.residuum, self.covers)
+
+    @cached_property
+    def divisible(self) -> bool:
+        a = self.a
+        return np.array_equal(a.meet, a.otimes[np.arange(a.size)[:, None], a.residuum])
 
     @cached_property
     def otimes_associative(self) -> bool:
@@ -452,16 +460,30 @@ class _Facts:
                     and _associative_on(a.otimes, np.flatnonzero(self.covers.sum(axis=0) == 1)))
 
 
-def _residuated(L: np.ndarray, O: np.ndarray, R: np.ndarray) -> bool:
-    """Whether x * z <= y exactly when z <= x -> y, for all x, y, z: both
-    sides gathered as [x, y, z] grids, a block of x values at a time."""
-    LT = np.ascontiguousarray(L.T)  # LT[y, z]: z <= y
-    block = _block_rows(len(L))
-    for start in range(0, len(L), block):
-        product_below = np.take(LT, O[start:start + block], axis=1)  # [y, x, z]: x * z <= y
-        below_residuum = LT[R[start:start + block]]  # [x, y, z]: z <= x -> y
-        if not np.array_equal(product_below.transpose(1, 0, 2), below_residuum):
-            return False
+def _residuated(L: np.ndarray, O: np.ndarray, R: np.ndarray, covers: np.ndarray) -> bool:
+    """Whether x * z <= y exactly when z <= x -> y, for all x, y, z, where L
+    is a partial order and covers[lo, hi] says that hi covers lo.
+
+    It decides the Galois connection x * _ -| x -> _ for each x: both maps
+    are monotone on every covering pair, z <= x -> (x*z) (the unit) and
+    x * (x->y) <= y (the counit). The unit and a monotone x -> _ give
+    x*z <= y => z <= x -> (x*z) <= x -> y; a monotone x * _ and the counit
+    give z <= x -> y => x*z <= x * (x->y) <= y. Residuation gives all four,
+    and a map monotone on the covering pairs of a finite partial order is
+    monotone. No temporary exceeds max(_POINT_BUDGET, size**2) entries.
+    """
+    # Flat positions: L[u, v] is Lf[u * n + v], and T[x, y] is T.ravel()[x * n + y].
+    n, Lf = len(L), L.ravel()
+    ids = np.arange(n)
+    rows = ids[:, None] * n
+    if not (Lf[R.ravel()[O + rows] + ids * n].all() and Lf[O.ravel()[R + rows] * n + ids].all()):
+        return False
+    lo, hi = np.nonzero(covers)
+    block = max(1, _POINT_BUDGET // max(1, len(lo)))
+    for start in range(0, n, block):
+        for T in (O[start:start + block], R[start:start + block]):
+            if not Lf[T[:, lo] * n + T[:, hi]].all():
+                return False
     return True
 
 
@@ -505,9 +527,7 @@ def _decide_residuum_exchange(f: _Facts) -> bool:
     # For y <= z: (x*z)*(z->y) = x*(z*(z->y)) = x*(z meet y) = x*y, by
     # associativity, divisibility and z meet y = y.
     a = f.a
-    M, ids = a.meet, np.arange(a.size)
-    return bool(f.otimes_associative and np.array_equal(M, a.otimes[ids[:, None], a.residuum])
-                and (M.T == ids[:, None])[a.leq].all())
+    return bool(f.otimes_associative and f.divisible and (a.meet.T == np.arange(a.size)[:, None])[a.leq].all())
 
 
 _DECISIONS: dict[Callable, Callable[[_Facts], bool]] = {
@@ -520,8 +540,10 @@ _DECISIONS: dict[Callable, Callable[[_Facts], bool]] = {
     _law_join_is_lub: lambda f: f.join_is_lub,
     _law_otimes_commutative: lambda f: f.commutative,
     _law_otimes_associative: lambda f: f.otimes_associative,
+    _law_otimes_identity: lambda f: bool((f.a.otimes[:, f.a.top] == np.arange(f.a.size)).all()),
     _law_join_associative: _decide_join_associative,
     _law_residuation: lambda f: f.residuation,
+    _law_divisibility: lambda f: f.divisible,
     _law_otimes_monotone: _decide_otimes_monotone,
     _law_otimes_distributes_join: _decide_otimes_distributes_join,
     _law_residuum_exchange: _decide_residuum_exchange,
@@ -669,11 +691,13 @@ def derive_lattice(leq) -> tuple[np.ndarray, np.ndarray, int, int]:
 def residuum_from_tables(leq, otimes) -> np.ndarray:
     """Derive the residuum as the greatest admitted element and validate it.
 
-    x -> y is the rank-maximal z with x * z <= y. Raises ResiduationFails,
-    with the lexicographically least failing triple, when the result
-    violates the residuation law, which signals that the inputs were not
-    a bounded lattice with a monotone product distributing over joins,
-    and ValueError unless `otimes` is an n x n table over the carrier.
+    x -> y is the rank-maximal z with x * z <= y, validated by the
+    residuation decision on a partial order and by the evaluator on
+    another. Raises ResiduationFails, with the lexicographically least
+    failing triple, when the result violates the residuation law, which
+    signals that the inputs were not a bounded lattice with a monotone
+    product distributing over joins, and ValueError unless `otimes` is
+    an n x n table over the carrier.
     """
     L = _as_bool_matrix(leq)
     if L.all(axis=1).sum() != 1:
@@ -683,9 +707,11 @@ def residuum_from_tables(leq, otimes) -> np.ndarray:
         raise ValueError(f"otimes table is not {len(L)}x{len(L)} over the carrier")
     O = O.astype(np.intp, copy=False)
     R = _greatest_admitted(L, O)
-    if not _residuated(L, O, R):
-        tables = SimpleNamespace(size=len(L), leq=L, otimes=O, residuum=R)
-        raise ResiduationFails(_first_failure(tables, _law_residuation))
+    between = _count_product(L, L)
+    if _order_defect(L, between) is not None or not _residuated(L, O, R, between == 2):
+        witness = _first_failure(SimpleNamespace(size=len(L), leq=L, otimes=O, residuum=R), _law_residuation)
+        if witness is not None:
+            raise ResiduationFails(witness)
     return R
 
 
@@ -701,7 +727,7 @@ def _greatest_admitted(L: np.ndarray, O: np.ndarray) -> np.ndarray:
 def _completed(size, leq, otimes, top, bottom, name, meet=None, join=None, residuum=None) -> FiniteDRL:
     """The algebra on these tables, each one given as None derived first.
 
-    A derived residuum has passed the residuation gather of
+    A derived residuum has passed the residuation check of
     `residuum_from_tables` on these very tables, so the algebra keeps
     that fact and its first law check reads it.
     """
@@ -814,7 +840,7 @@ def heyting_from_lattice(leq, name: str = "") -> FiniteDRL:
     """Heyting algebra over a finite distributive lattice order.
 
     The product is the meet. A finite lattice is distributive exactly
-    when its meet is residuated (GJKO07), so the residuation gather of
+    when its meet is residuated (GJKO07), so the residuation decision on
     the meet's derived residuum decides distributivity. When it fails,
     NotDistributive is raised with the least triple at which the meet
     does not distribute over the join, the only law evaluated point by
@@ -825,11 +851,11 @@ def heyting_from_lattice(leq, name: str = "") -> FiniteDRL:
     meet, join, top, bottom = derive_lattice(L)
     n = len(L)
     residuum = _greatest_admitted(L, meet)
-    if not _residuated(L, meet, residuum):
+    if not _residuated(L, meet, residuum, _count_product(L, L) == 2):
         semiring = SimpleNamespace(size=n, join=join, otimes=meet)
         raise NotDistributive(_first_failure(semiring, _law_otimes_distributes_join))
     h = FiniteDRL(n, L, meet, join, meet, residuum, top, bottom, name or f"heyting({n})")
-    h._facts["residuation"] = True  # the gather above proved it
+    h._facts["residuation"] = True  # the decision above proved it
     return h
 
 

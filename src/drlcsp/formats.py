@@ -13,13 +13,14 @@ from __future__ import annotations
 import itertools
 import json
 import re
+import struct
 from math import comb
 from pathlib import Path
 
 import numpy as np
 import orjson
 
-from .algebra import FiniteDRL, _completed, _in_carrier, _require_within_cap, check_axioms
+from .algebra import FiniteDRL, _completed, _require_within_cap, check_axioms
 from .errors import (
     AxiomViolation,
     FormatError,
@@ -149,39 +150,41 @@ def _is_int_table(table, size: int) -> bool:
     )
 
 
-def _table(table, key: str, size: int, typed: bool) -> np.ndarray:
-    """A decoded table as a read-only size x size array of ids below
-    `size` (`intp`), or of 0 and 1 for "leq" (bool).
+def _tables(named: dict, size: int, typed: bool) -> dict[str, np.ndarray]:
+    """The decoded tables `named` (key to table, "leq" first) as read-only
+    size x size arrays of ids below `size` (`intp`), or of 0 and 1 for
+    "leq" (bool), views of one array per dtype.
 
-    One np.array call builds it, and its shape, integer dtype and range
-    are tested on the array. np.array reads a JSON boolean among ints as
-    an int, so when `typed` the entries' exact types are tested as well.
-    Pass typed=False only for a table decoded from text that holds
-    neither `true` nor `false`, the only words JSON writes a boolean as.
-    A refused table raises ParseError, worded by the entry-by-entry type
-    test.
+    One `struct.Struct` packs every row of every table to 16-bit ids,
+    refusing a row of another length and every value but an int in
+    [0, 2**16) or a boolean; one frombuffer reads them, and two maxima
+    range-test "leq" and the rest. struct takes a JSON boolean as an int,
+    so when `typed` the entries' exact types are tested first
+    (`_is_int_table`). Pass typed=False only for tables decoded from text
+    that holds neither `true` nor `false`, the only words JSON writes a
+    boolean as. A table this refuses fails the entry-by-entry checks too,
+    which word the ParseError of the first refused table in key order.
     """
-    try:
-        arr = np.array(table)
-    except ValueError:  # ragged rows, or nesting past numpy's dimension limit
-        arr = None
-    if (
-        arr is not None
-        and arr.shape == (size, size)
-        and arr.dtype.kind == "i"
-        and (not typed or _is_int_table(table, size))
-        and _in_carrier(arr, 2 if key == "leq" else size)
-    ):
-        arr = arr.astype(bool if key == "leq" else np.intp, copy=False)
-        arr.flags.writeable = False
-        return arr
-    if not _is_int_table(table, size):
-        raise ParseError(f"{key!r} must be a {size}x{size} integer table")
-    # A size x size table of ints that np.array did not read as an array of
-    # type "i" in range holds an entry out of range.
-    if key == "leq":
-        raise ParseError("'leq' entries must be 0 or 1")
-    raise ParseError(f"{key!r} has entries outside the carrier")
+    tables = list(named.values())
+    ids = None
+    # An empty table (size 0, from `read_lattice`) is refused below.
+    if size and all(_is_int_table(t, size) if typed else type(t) is list and len(t) == size for t in tables):
+        try:
+            rows = itertools.starmap(struct.Struct(f"<{size}H").pack, itertools.chain.from_iterable(tables))
+            ids = np.frombuffer(b"".join(rows), "<u2").reshape(len(tables), size, size)
+        except (struct.error, TypeError):  # a row that is no list of `size` ids
+            pass
+    if ids is None or ids[0].max() >= 2 or ids[1:].max(initial=0) >= size:
+        for key, table in named.items():
+            if not _is_int_table(table, size):
+                raise ParseError(f"{key!r} must be a {size}x{size} integer table")
+            flat = list(itertools.chain.from_iterable(table))
+            if min(flat) < 0 or max(flat) >= (2 if key == "leq" else size):
+                raise ParseError("'leq' entries must be 0 or 1" if key == "leq"
+                                 else f"{key!r} has entries outside the carrier")
+    leq, rest = ids[0].astype(bool), ids[1:].astype(np.intp)
+    leq.flags.writeable = rest.flags.writeable = False
+    return dict(zip(named, [leq, *rest]))
 
 
 def _may_hold_booleans(text: str) -> bool:
@@ -244,7 +247,7 @@ def _validated(algebra: FiniteDRL, known: FiniteDRL | None = None) -> FiniteDRL:
 
 
 def _algebra_from_obj(obj, typed: bool) -> FiniteDRL:
-    """The algebra `obj` describes, not yet law-checked; `typed` as for `_table`."""
+    """The algebra `obj` describes, not yet law-checked; `typed` as for `_tables`."""
     if not isinstance(obj, dict):
         raise ParseError("algebra payload must be an object")
     size = obj.get("size")
@@ -260,11 +263,9 @@ def _algebra_from_obj(obj, typed: bool) -> FiniteDRL:
     if not isinstance(name, str):
         raise ParseError("'name' must be a string")
 
-    leq = _table(obj.get("leq"), "leq", size, typed)
-    otimes = _table(obj.get("otimes"), "otimes", size, typed)
-    tables = {key: _table(obj[key], key, size, typed)
-              for key in ("meet", "join", "residuum") if key in obj}
-    return _completed(size, leq, otimes, obj["top"], obj["bottom"], name, **tables)
+    keys = ["leq", "otimes"] + [key for key in ("meet", "join", "residuum") if key in obj]
+    tables = _tables({key: obj.get(key) for key in keys}, size, typed)
+    return _completed(size, tables.pop("leq"), tables.pop("otimes"), obj["top"], obj["bottom"], name, **tables)
 
 
 def read_lattice(path: str | Path) -> np.ndarray:
@@ -274,7 +275,7 @@ def read_lattice(path: str | Path) -> np.ndarray:
             obj = obj.get("leq")
         if not isinstance(obj, list):
             raise ParseError(f"{path} must hold an order table (or an object with 'leq')")
-        return _table(obj, "leq", len(obj), typed)
+        return _tables({"leq": obj}, len(obj), typed)["leq"]
 
     return _decoded(Path(path).read_text(), build, f" in {path}")
 

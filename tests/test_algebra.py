@@ -555,7 +555,7 @@ class TestDirectProduct:
 
 def _forbid_laws(monkeypatch):
     """No law may run: neither a decision, nor the blocked evaluator, nor the
-    residuation gather of `residuum_from_tables`."""
+    residuation decision of `residuum_from_tables`."""
     for name in ("_Facts", "_first_failure", "_residuated"):
         monkeypatch.setattr(algebra, name, None)
 
@@ -772,7 +772,7 @@ class TestDecisions:
             # each decision confirms its law on some algebras and refuses it on others
             assert {(True, True), (False, False)} <= {s[:2] for s in seen}, (law.__name__, seen)
         # a law that holds without a partial order, which these decisions refuse
-        for law in (algebra._law_meet_is_glb, algebra._law_otimes_monotone):
+        for law in (algebra._law_meet_is_glb, algebra._law_otimes_monotone, algebra._law_residuation):
             assert (False, True, False) in outcomes[law], law.__name__
 
     # Found by search over all reflexive relations on four elements. The
@@ -792,6 +792,21 @@ class TestDecisions:
         assert algebra._DECISIONS[law](algebra._Facts(a)) is False
         check = next(c for c in d.check_axioms(a, "drl").checks if c.axiom == axiom)
         assert check.counterexample == _tensor_first_failure(a, law) == (3, 3, 3)
+
+    def test_otimes_monotone_needs_commutativity(self):
+        # A residuated product on the 3-chain that does not commute: each
+        # x * _ is monotone, but _ * 1 is not, as 1 <= 2 and 1*1 = 2 > 2*1 = 1.
+        leq = [[i <= j for j in range(3)] for i in range(3)]
+        otimes = [[0, 0, 0], [0, 2, 2], [0, 1, 1]]
+        residuum = d.residuum_from_tables(leq, otimes)
+        assert residuum.tolist() == [[2, 2, 2], [0, 0, 2], [0, 2, 2]]
+        ids = np.arange(3)
+        a = d.FiniteDRL(3, leq, np.minimum.outer(ids, ids), np.maximum.outer(ids, ids), otimes, residuum, 2, 0)
+        facts = algebra._Facts(a)
+        assert facts.partial and facts.residuation and not facts.commutative
+        law = algebra._law_otimes_monotone
+        check = next(c for c in d.check_axioms(a, "derived").checks if c.axiom == "otimes-monotone")
+        assert check.counterexample == _tensor_first_failure(a, law) == (1, 2, 1)
 
 
 def _grid(rows: int, cols: int, new_top: bool = False) -> list[list[bool]]:
@@ -866,7 +881,9 @@ class TestJoinIrreduciblePath:
 
     def test_drls_decided_by_their_premises(self, monkeypatch):
         # Every DRL meets each decision's premise, so in either profile order
-        # the blocked evaluator runs only for the laws without a decision.
+        # the blocked evaluator runs only for the laws without a decision;
+        # every drl law has one, so under drl it never runs on a DRL.
+        assert all(law in algebra._DECISIONS for _, law in algebra.PROFILES["drl"])
         algebras = list(drls(6)) + [
             d.direct_product(d.lukasiewicz_chain(6), d.godel_chain(6)),
             d.direct_product(d.heyting_from_lattice(_grid(2, 3)),
@@ -912,8 +929,8 @@ class TestJoinIrreduciblePath:
         facts = algebra._Facts(a)
         premises = {"partial": facts.partial, "commutative": facts.commutative,
                     "join-is-lub": facts.join_is_lub, "residuation": facts.residuation}
-        # join-is-lub reads the partial-order test, so it fails with it.
-        failing = [premise] + ["join-is-lub"] * (premise == "partial")
+        # join-is-lub and residuation read the partial-order test, so they fail with it.
+        failing = [premise] + ["join-is-lub", "residuation"] * (premise == "partial")
         assert [name for name, holds in premises.items() if not holds] == failing
         assert algebra._associative_on(a.otimes, np.flatnonzero(facts.covers.sum(axis=0) == 1))
         law = algebra._law_otimes_associative
@@ -939,36 +956,36 @@ class TestFactsKept:
     """The boolean law-check facts are kept with the algebra that was checked."""
 
     _KEPT = {"partial", "meet_is_glb", "join_is_lub", "commutative",
-             "residuation", "otimes_associative"}
+             "residuation", "divisible", "otimes_associative"}
 
     @pytest.fixture()
-    def gathers(self, monkeypatch):
-        """The number of residuation gathers run."""
+    def decisions(self, monkeypatch):
+        """The number of residuation decisions (`_residuated`) run."""
         counted = []
-        gather = algebra._residuated
-        monkeypatch.setattr(algebra, "_residuated", lambda *tables: counted.append(1) or gather(*tables))
+        decide = algebra._residuated
+        monkeypatch.setattr(algebra, "_residuated", lambda *tables: counted.append(1) or decide(*tables))
         return counted
 
-    def test_derived_check_after_a_validated_load_runs_no_gather(self, gathers):
+    def test_derived_check_after_a_validated_load_runs_no_gather(self, decisions):
         text = d.save_algebra(d.direct_product(d.lukasiewicz_chain(5), d.godel_chain(4)))
-        gathers.clear()  # the chain constructors validate their residua
+        decisions.clear()  # the chain constructors validate their residua
         loaded = d.load_algebra(text)
-        assert len(gathers) == 1
+        assert len(decisions) == 1
         assert d.check_axioms(loaded, "derived").ok
         assert d.check_axioms(loaded, "drl").ok
-        assert len(gathers) == 1
+        assert len(decisions) == 1
         assert set(loaded._facts) == self._KEPT
         assert all(type(value) is bool for value in loaded._facts.values())
 
-    def test_a_derived_residuum_is_gathered_once(self, gathers):
-        # residuum_from_tables validates its table; that gather is the
+    def test_a_derived_residuum_is_gathered_once(self, decisions):
+        # residuum_from_tables validates its table; that decision is the
         # residuation fact of the loaded algebra, which the drl check reads.
         a = d.direct_product(d.lukasiewicz_chain(16), d.godel_chain(16))
         obj = orjson.loads(d.save_algebra(a))
         del obj["residuum"]
-        gathers.clear()
+        decisions.clear()
         loaded = d.load_algebra(orjson.dumps(obj).decode())
-        assert loaded == a and len(gathers) == 1
+        assert loaded == a and len(decisions) == 1
         assert loaded._facts["residuation"] is True
 
     def test_a_derived_residuum_never_changes_a_report(self):
@@ -996,15 +1013,15 @@ class TestFactsKept:
             loaded_count += 1
         assert 0 < loaded_count < 60
 
-    def test_an_equal_algebra_shares_no_facts(self, gathers):
+    def test_an_equal_algebra_shares_no_facts(self, decisions):
         a = d.direct_product(d.lukasiewicz_chain(4), d.weighted(3))
-        gathers.clear()
-        assert d.check_axioms(a, "drl").ok and len(gathers) == 1
+        decisions.clear()
+        assert d.check_axioms(a, "drl").ok and len(decisions) == 1
         for twin in (dataclasses.replace(a), d.load_algebra(d.save_algebra(a), validate=False)):
             assert twin == a and twin._facts == {}
             assert d.check_axioms(twin, "derived").ok
             assert twin._facts is not a._facts
-        assert len(gathers) == 3
+        assert len(decisions) == 3
 
     def test_kept_facts_never_change_a_report(self):
         # Algebras that break laws, loaded without validation: every report,
@@ -1057,21 +1074,21 @@ _PINNED_CHAINS_DIGEST = "f3bf731560692c2b36db7cb98d384e3832bda0208e0ffae1f0255bb
 
 
 class TestConstructorsKeepResiduation:
-    """Each constructor keeps the residuation fact that its own gather proved,
+    """Each constructor keeps the residuation fact that its own decision proved,
     and the loader keeps the one of a residuum it derived."""
 
-    gathers = TestFactsKept.gathers
+    decisions = TestFactsKept.decisions
 
     @staticmethod
     def _constructed() -> list:
         heyting = [d.heyting_from_lattice(leq, name) for name, leq in distributive_lattices(6)]
         return _pinned_chains() + heyting
 
-    def test_the_first_drl_check_runs_no_gather(self, gathers):
+    def test_the_first_drl_check_runs_no_gather(self, decisions):
         for a in self._constructed():
             assert a._facts == {"residuation": True}, a.name
-            gathers.clear()
-            assert d.check_axioms(a, "drl").ok and gathers == [], a.name
+            decisions.clear()
+            assert d.check_axioms(a, "drl").ok and decisions == [], a.name
 
     def test_the_kept_fact_never_changes_a_report(self):
         for a in self._constructed():
@@ -1085,14 +1102,14 @@ class TestConstructorsKeepResiduation:
         assert hashlib.sha256(text.encode()).hexdigest() == _PINNED_CHAINS_DIGEST
 
     @pytest.mark.parametrize("absent", [("residuum",), ("meet", "join", "residuum")])
-    def test_every_catalog_drl_loads_without_derived_tables(self, gathers, absent):
+    def test_every_catalog_drl_loads_without_derived_tables(self, decisions, absent):
         for a in drls(6):
             obj = {key: value for key, value in orjson.loads(d.save_algebra(a)).items()
                    if key not in absent}
-            gathers.clear()
+            decisions.clear()
             loaded = d.load_algebra(orjson.dumps(obj).decode())
-            # one gather derives the residuum; the validating drl check reads it
-            assert loaded == a and len(gathers) == 1, a.name
+            # one decision validates the derived residuum; the validating drl check reads it
+            assert loaded == a and len(decisions) == 1, a.name
             for profile in ("drl", "derived"):
                 assert d.check_axioms(loaded, profile) == d.check_axioms(dataclasses.replace(a), profile)
 
@@ -1189,7 +1206,7 @@ def _distributivity_failure(leq):
 
 class TestHeytingOnEveryLattice:
     """`heyting_from_lattice` on every lattice of size <= 6: distributivity is
-    decided by the residuation gather of the meet's derived residuum."""
+    decided by the residuation decision on the meet's derived residuum."""
 
     def test_catalog(self):
         catalog = lattices(6)
@@ -1197,20 +1214,20 @@ class TestHeytingOnEveryLattice:
         assert all(all(leq[0]) and all(row[-1] for row in leq) for _, leq in catalog)
 
     def test_distributive_ones_build_and_the_others_name_the_pointwise_triple(self, monkeypatch):
-        gathers, evaluated = [], []
-        gather, evaluate = algebra._residuated, algebra._first_failure
-        monkeypatch.setattr(algebra, "_residuated", lambda *tables: gathers.append(1) or gather(*tables))
+        decisions, evaluated = [], []
+        decide, evaluate = algebra._residuated, algebra._first_failure
+        monkeypatch.setattr(algebra, "_residuated", lambda *tables: decisions.append(1) or decide(*tables))
         monkeypatch.setattr(algebra, "_first_failure",
                             lambda a, law: evaluated.append(law) or evaluate(a, law))
         outcomes = Counter()
         for name, leq in lattices(6):
-            gathers.clear()
+            decisions.clear()
             evaluated.clear()
             witness = _distributivity_failure(leq)
             if witness is None:
                 h = d.heyting_from_lattice(leq)
-                # one residuation gather, and no law evaluated point by point
-                assert (len(gathers), evaluated) == (1, []), name
+                # one residuation decision, and no law evaluated point by point
+                assert (len(decisions), evaluated) == (1, []), name
                 assert np.array_equal(h.otimes, h.meet) and d.check_axioms(h).ok, name
             else:
                 with pytest.raises(d.NotDistributive) as info:

@@ -154,12 +154,17 @@ def _reference_algebra(obj: dict) -> d.FiniteDRL:
                        tables["residuum"], obj["top"], obj["bottom"], obj["name"])
 
 
-def _table_mutation(obj: dict, rng: random.Random) -> str:
-    """Change one entry, row or table of one of `obj`'s tables; name the change."""
-    key = rng.choice(["leq", "meet", "join", "otimes", "residuum"])
+# The tables in the order a load tests them.
+_KEYS = ("leq", "otimes", "meet", "join", "residuum")
+
+
+def _table_mutation(obj: dict, rng: random.Random, key: str | None = None) -> str:
+    """Change one entry, row or table of `obj`'s table `key` (or of a table
+    chosen at random); name the change."""
+    key = key or rng.choice(_KEYS)
     table, n = obj[key], obj["size"]
     x, y = rng.randrange(n), rng.randrange(n)
-    kind = rng.choice(["true", "false", "1.0", "-1", "size", "2**63", "2**64", "None",
+    kind = rng.choice(["true", "false", "1.0", "-1", "size", "65535", "65536", "2**63", "2**64", "None",
                        "string", "nested", "ragged", "short", "in range"])
     if kind == "ragged":
         table[x].append(0) if rng.random() < 0.5 else table[x].pop()
@@ -167,8 +172,9 @@ def _table_mutation(obj: dict, rng: random.Random) -> str:
         table.pop(x)
     else:
         table[x][y] = {
-            "true": True, "false": False, "1.0": 1.0, "-1": -1, "size": n, "2**63": 2**63,
-            "2**64": 2**64, "None": None, "string": "1", "nested": [table[x][y]],
+            "true": True, "false": False, "1.0": 1.0, "-1": -1, "size": n, "65535": 65535,
+            "65536": 65536, "2**63": 2**63, "2**64": 2**64, "None": None, "string": "1",
+            "nested": [table[x][y]],
             "in range": rng.randrange(2 if key == "leq" else n),
         }[kind]
     return f"{kind} in {key}"
@@ -182,8 +188,10 @@ def _parse_outcome(parse):
 
 
 class TestOneArrayParse:
-    """Each table is parsed by one np.array call, with the outcome of the
-    entry-by-entry checks: the same refusal, or an equal algebra."""
+    """An algebra's tables are packed to 16-bit ids by one `struct.Struct`
+    and range-tested on one array, with the outcome of the entry-by-entry
+    checks: the same refusal, of the first refused table in key order, or
+    an equal algebra."""
 
     def test_mutated_tables_match_the_entry_checks(self, tmp_path):
         rng = random.Random(1997)
@@ -194,13 +202,21 @@ class TestOneArrayParse:
         )]
         path = tmp_path / "a.json"
         kinds = set()
+        earlier_wins = 0
         for _ in range(400):
             obj = json.loads(json.dumps(rng.choice(bases)))
-            change = _table_mutation(obj, rng)
-            kinds.add(change.split(" in ")[0])
+            if rng.random() < 0.25:
+                # Two tables changed, the later one in key order first.
+                later, earlier = sorted(rng.sample(_KEYS, 2), key=_KEYS.index, reverse=True)
+                change = f"{_table_mutation(obj, rng, later)} and {_table_mutation(obj, rng, earlier)}"
+            else:
+                change = _table_mutation(obj, rng)
+                kinds.add(change.split(" in ")[0])
             text = json.dumps(obj)
             path.write_text(text)
             expected = _parse_outcome(lambda: _reference_algebra(obj))
+            if " and " in change and not change.startswith("in range") and f"'{earlier}'" in str(expected):
+                earlier_wins += 1  # both tables refused, and the earlier one in key order named
             assert _parse_outcome(lambda: d.load_algebra(text, validate=False)) == expected, change
             assert _parse_outcome(lambda: d.load_algebra(obj, validate=False)) == expected, change
 
@@ -219,7 +235,7 @@ class TestOneArrayParse:
                 assert got_leq.dtype == bool and np.array_equal(got_leq, expected_leq), change
             else:
                 assert got_leq == expected_leq, change
-        assert len(kinds) == 13
+        assert len(kinds) == 15 and earlier_wins > 0
 
     def test_a_name_holding_true_loads_and_refuses_booleans(self):
         a = dataclasses.replace(d.boolean(), name="true-false")
@@ -572,12 +588,15 @@ class TestPackedValueCheck:
         assert set(_VALUE_FAULTS) <= kinds and "none" in kinds
 
     def test_one_range_test_per_load(self, monkeypatch):
-        calls = []
-        frombuffer = np.frombuffer
+        # One range test covers the problem's tables and one frombuffer reads
+        # them; one more frombuffer reads the inline algebra's packed tables.
+        calls, range_tests = [], []
+        frombuffer, first_past = np.frombuffer, formats._first_past
         monkeypatch.setattr(formats.np, "frombuffer", lambda *args: calls.append(1) or frombuffer(*args))
+        monkeypatch.setattr(formats, "_first_past", lambda *args: range_tests.append(1) or first_past(*args))
         p = d.gen_random_problem(d.weighted(10), 6, 3, 12, 3, 5)
         assert d.load_problem_raw(d.save_problem(p)).algebra == p.algebra
-        assert len(calls) == 1
+        assert len(range_tests) == 1 and len(calls) == 2
 
 
 class TestProblemRefusals:
